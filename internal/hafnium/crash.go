@@ -194,25 +194,12 @@ func (h *Hypervisor) recoverVM(vm *VM) {
 	if vm.spec.RestartFromSnapshot && vm.warmS2 != nil {
 		// Warm path: the table object is never swapped, so the walk cache
 		// self-invalidates off the table's bumped generation.
-		vm.stage2.Restore(vm.warmS2)
-		vm.nextShareIPA = vm.warmShareIPA
+		h.rewindStage2(vm)
 		h.stats.SnapshotRestores++
 		h.metric("snapshot_restores", vm).Inc()
 		kind = "snapshot-restore"
-	} else {
-		vm.stage2 = mmu.NewTable(fmt.Sprintf("s2.%s", vm.spec.Name))
-		vm.s2cache = mmu.NewWalkCache(vm.stage2, 0)
-		if err := vm.stage2.Map(GuestRAMBase, uint64(vm.ramPA), vm.ramSize, mmu.PermRWX); err != nil {
-			panic(fmt.Sprintf("hafnium: rebuilding %s stage-2 RAM: %v", vm.spec.Name, err))
-		}
-		mmio := vm.mmio
-		vm.mmio = nil
-		for _, r := range mmio {
-			if err := vm.mapMMIO(r); err != nil {
-				panic(fmt.Sprintf("hafnium: rebuilding %s stage-2 MMIO: %v", vm.spec.Name, err))
-			}
-		}
-		vm.nextShareIPA = shareIPABase
+	} else if err := h.rebuildStage2(vm); err != nil {
+		panic(fmt.Sprintf("hafnium: rebuilding %s stage-2 %v", vm.spec.Name, err))
 	}
 	vm.mailbox = nil
 	vm.restarts++

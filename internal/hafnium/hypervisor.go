@@ -65,18 +65,9 @@ type Hypervisor struct {
 	enteredAt []sim.Time            // per core: when the resident guest took the core
 	vmCPU     map[VMID]sim.Duration // accumulated guest CPU time
 
-	owner       map[mem.PA]VMID
+	owner       ownerTable
 	shares      map[uint64]*shareRecord
 	nextShareID uint64
-
-	// ownerVer/ownerStamp version the frame-owner map for snapshot and
-	// restore: every mutation stamps ownerVer from the monotone
-	// ownerStamp, and a restore copies the snapshot's ownerVer with its
-	// content, so equal versions mean equal maps and Restore can skip
-	// rebuilding the (one entry per physical page) map. ownerStamp is
-	// never rewound, which keeps versions unique across forked timelines.
-	ownerVer   uint64
-	ownerStamp uint64
 
 	nsAlloc *mem.Buddy
 	sAlloc  *mem.Buddy
@@ -106,7 +97,12 @@ func (h *Hypervisor) metric(name string, vm *VM) *metrics.Counter {
 // hypercall counts one ABI invocation by function name, attributed to
 // the VM it concerns.
 func (h *Hypervisor) hypercall(fn string, vm *VM) {
-	h.node.Metrics.Counter(metrics.K("el2", "hypercall."+fn).WithVM(vm.spec.Name)).Inc()
+	c, ok := vm.mHypercalls[fn]
+	if !ok {
+		c = h.node.Metrics.Counter(metrics.K("el2", "hypercall."+fn).WithVM(vm.spec.Name))
+		vm.mHypercalls[fn] = c
+	}
+	c.Inc()
 }
 
 // worldSwitch accounts one world switch for vm with the EL2 cycle cost
@@ -140,7 +136,6 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		lastVMID:  make([]VMID, len(node.Cores)),
 		enteredAt: make([]sim.Time, len(node.Cores)),
 		vmCPU:     make(map[VMID]sim.Duration),
-		owner:     make(map[mem.PA]VMID),
 		shares:    make(map[uint64]*shareRecord),
 		routing:   m.Routing,
 		tlbPolicy: m.TLB,
@@ -895,11 +890,5 @@ func (h *Hypervisor) CPUTime(id VMID) sim.Duration { return h.vmCPU[id] }
 
 // FrameOwner reports which VM owns a physical page.
 func (h *Hypervisor) FrameOwner(pa mem.PA) VMID {
-	return h.owner[mem.PageAlign(pa)]
-}
-
-// touchOwner stamps the frame-owner map as mutated (see ownerVer).
-func (h *Hypervisor) touchOwner() {
-	h.ownerStamp++
-	h.ownerVer = h.ownerStamp
+	return h.owner.get(pa)
 }

@@ -99,9 +99,9 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 		if err != nil {
 			return 0, 0, fmt.Errorf("hafnium: %v: %w", kind, err)
 		}
-		if h.owner[pa] != from {
+		if owner := h.owner.get(pa); owner != from {
 			return 0, 0, fmt.Errorf("hafnium: %v: frame %#x at IPA %#x is owned by VM %d, not the sender",
-				kind, uint64(pa), ipa+off, h.owner[pa])
+				kind, uint64(pa), ipa+off, owner)
 		}
 		for _, r := range h.shares {
 			if !r.active {
@@ -146,9 +146,8 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 			return 0, 0, fmt.Errorf("hafnium: donate: revoking owner access: %w", err)
 		}
 		for _, pa := range pages {
-			h.owner[pa] = to
+			h.owner.set(pa, pa+mem.PageSize, to)
 		}
-		h.touchOwner()
 	}
 
 	h.nextShareID++
@@ -222,7 +221,8 @@ func (h *Hypervisor) VerifyIsolation() error {
 				}
 				return fmt.Errorf("hafnium: VM %d maps device %#x it was never assigned", id, uint64(pa))
 			}
-			if h.owner[pa] == id {
+			owner := h.owner.get(pa)
+			if owner == id {
 				// Owned — but a lent-out frame must not be reachable.
 				for _, rec := range h.shares {
 					if rec.active && rec.Kind == MemLend && rec.From == id {
@@ -244,7 +244,7 @@ func (h *Hypervisor) VerifyIsolation() error {
 					}
 				}
 			}
-			return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", id, uint64(pa), h.owner[pa])
+			return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", id, uint64(pa), owner)
 		}
 		// Probe the RAM window and the share window densely enough to
 		// catch any leaf (page granularity).

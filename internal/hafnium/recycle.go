@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"khsim/internal/mem"
-	"khsim/internal/mmu"
 	"khsim/internal/sim"
 )
 
@@ -80,27 +79,16 @@ func (h *Hypervisor) RecycleVM(id VMID, warm bool) (bool, error) {
 	vm.s2cache.Flush()
 	usedWarm := warm && vm.warmS2 != nil
 	if usedWarm {
-		vm.stage2.Restore(vm.warmS2)
-		vm.nextShareIPA = vm.warmShareIPA
+		h.rewindStage2(vm)
 		h.stats.RecyclesWarm++
 		h.stats.ScrubbedPages += ws
 		h.metric("recycles_warm", vm).Inc()
 		h.metric("scrubbed_pages", vm).Add(ws)
 		h.lifecycle("recycle-warm", vm, "")
 	} else {
-		vm.stage2 = mmu.NewTable(fmt.Sprintf("s2.%s", vm.spec.Name))
-		vm.s2cache = mmu.NewWalkCache(vm.stage2, 0)
-		if err := vm.stage2.Map(GuestRAMBase, uint64(vm.ramPA), vm.ramSize, mmu.PermRWX); err != nil {
-			panic(fmt.Sprintf("hafnium: recycling %s stage-2 RAM: %v", vm.spec.Name, err))
+		if err := h.rebuildStage2(vm); err != nil {
+			panic(fmt.Sprintf("hafnium: recycling %s stage-2 %v", vm.spec.Name, err))
 		}
-		mmio := vm.mmio
-		vm.mmio = nil
-		for _, r := range mmio {
-			if err := vm.mapMMIO(r); err != nil {
-				panic(fmt.Sprintf("hafnium: recycling %s stage-2 MMIO: %v", vm.spec.Name, err))
-			}
-		}
-		vm.nextShareIPA = shareIPABase
 		h.stats.RecyclesCold++
 		h.stats.ScrubbedPages += all
 		h.metric("recycles_cold", vm).Inc()

@@ -2,6 +2,7 @@ package hafnium
 
 import (
 	"fmt"
+	"slices"
 
 	"khsim/internal/machine"
 	"khsim/internal/mem"
@@ -56,8 +57,7 @@ type hypState struct {
 	enteredAt []sim.Time
 	vmCPU     map[VMID]sim.Duration
 
-	owner       map[mem.PA]VMID
-	ownerVer    uint64
+	owner       ownerTable
 	shares      map[uint64]*shareRecord
 	nextShareID uint64
 
@@ -73,7 +73,7 @@ type hypState struct {
 // Snapshot captures the whole EL2 world: per-core residency, VM and
 // VCPU state machines (saved contexts, pending virqs, virtual timers,
 // watchdogs), stage-2 tables (copy-on-write freeze), the frame-owner
-// map, memory grants, both allocators and the counters. Hypervisor
+// extents, memory grants, both allocators and the counters. Hypervisor
 // implements sim.Snapshotter and registers itself on the node at build
 // time, so node snapshots include it automatically.
 func (h *Hypervisor) Snapshot() sim.State {
@@ -83,8 +83,7 @@ func (h *Hypervisor) Snapshot() sim.State {
 		lastVMID:    append([]VMID(nil), h.lastVMID...),
 		enteredAt:   append([]sim.Time(nil), h.enteredAt...),
 		vmCPU:       make(map[VMID]sim.Duration, len(h.vmCPU)),
-		owner:       make(map[mem.PA]VMID, len(h.owner)),
-		ownerVer:    h.ownerVer,
+		owner:       slices.Clone(h.owner),
 		shares:      make(map[uint64]*shareRecord, len(h.shares)),
 		nextShareID: h.nextShareID,
 		nsAlloc:     h.nsAlloc.Snapshot(),
@@ -96,9 +95,6 @@ func (h *Hypervisor) Snapshot() sim.State {
 	}
 	for k, v := range h.vmCPU {
 		s.vmCPU[k] = v
-	}
-	for k, v := range h.owner {
-		s.owner[k] = v
 	}
 	for id, rec := range h.shares {
 		cp := *rec // Grant.Pages is append-only after creation; shared
@@ -163,16 +159,7 @@ func (h *Hypervisor) Restore(st sim.State) {
 	for k, v := range s.vmCPU {
 		h.vmCPU[k] = v
 	}
-	// The frame-owner map has one entry per physical page; skip the
-	// rebuild when the version stamps match (ownership never changed
-	// since the capture), which keeps verbatim forks O(dirtied state).
-	if h.ownerVer != s.ownerVer {
-		h.owner = make(map[mem.PA]VMID, len(s.owner))
-		for k, v := range s.owner {
-			h.owner[k] = v
-		}
-		h.ownerVer = s.ownerVer
-	}
+	h.owner = append(h.owner[:0], s.owner...)
 	h.shares = make(map[uint64]*shareRecord, len(s.shares))
 	for id, rec := range s.shares {
 		cp := *rec

@@ -100,6 +100,7 @@ type VM struct {
 	mInjections    *metrics.Counter
 	mStage2Faults  *metrics.Counter
 	mRuns          *metrics.Counter
+	mHypercalls    map[string]*metrics.Counter // by ABI function, filled on first use
 }
 
 // ID reports the VM's identifier.
@@ -189,6 +190,7 @@ func (h *Hypervisor) buildVM(id VMID, spec VMSpec) (*VM, error) {
 	v.mInjections = mx.Counter(metrics.K("el2", "virq_injections").WithVM(spec.Name))
 	v.mStage2Faults = mx.Counter(metrics.K("el2", "stage2_faults").WithVM(spec.Name))
 	v.mRuns = mx.Counter(metrics.K("el2", "runs").WithVM(spec.Name))
+	v.mHypercalls = make(map[string]*metrics.Counter)
 	// Allocate and map guest RAM. Secure VMs draw from the TrustZone
 	// carve-out; everyone else from non-secure DRAM.
 	alloc := h.nsAlloc
@@ -208,10 +210,7 @@ func (h *Hypervisor) buildVM(id VMID, spec VMSpec) (*VM, error) {
 	if err := v.stage2.Map(GuestRAMBase, uint64(pa), size, mmu.PermRWX); err != nil {
 		return nil, fmt.Errorf("hafnium: VM %q stage-2: %w", spec.Name, err)
 	}
-	for p := uint64(0); p < size; p += mem.PageSize {
-		h.owner[pa+mem.PA(p)] = id
-	}
-	h.touchOwner()
+	h.owner.set(pa, pa+mem.PA(size), id)
 	for i := 0; i < spec.VCPUs; i++ {
 		v.vcpus = append(v.vcpus, newVCPU(v, i))
 	}

@@ -55,6 +55,9 @@ type CFSPolicy struct {
 	tickAt []sim.Time
 	wakes  [][]wake
 	rng    *sim.RNG
+
+	// Exec labels, built once (every tick and preemption runs one).
+	tickLabel, ctxswLabel string
 }
 
 // NewCFSPolicy builds the policy from its tunables.
@@ -67,6 +70,8 @@ func (p *CFSPolicy) Attach(k *Kernel) {
 	p.tickAt = make([]sim.Time, len(k.node.Cores))
 	p.wakes = make([][]wake, len(k.node.Cores))
 	p.rng = k.node.Engine.RNG().Split(0x11b)
+	p.tickLabel = k.cfg.Label + ".tick"
+	p.ctxswLabel = k.cfg.Label + ".ctxsw"
 	for range k.node.Cores {
 		p.cfs = append(p.cfs, NewCFS(p.p.SchedLatencyNS))
 	}
@@ -142,8 +147,10 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 			p.cfs[id].Account(p.p.TickHz.Period().Nanos())
 		}
 	}
+	// Filter the pending wakes in place: snapshots deep-copy wakes, so
+	// the backing array is never shared with a captured state.
 	var woken []*Task
-	var rest []wake
+	rest := p.wakes[id][:0]
 	for _, w := range p.wakes[id] {
 		if w.at <= now {
 			cost += p.p.WakeCost
@@ -156,7 +163,7 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 	if cost == 0 {
 		cost = p.p.WakeCost / 2 // spurious hrtimer reprogram
 	}
-	c.Exec(k.cfg.Label+".tick", cost, func() {
+	c.Exec(p.tickLabel, cost, func() {
 		for _, t := range woken {
 			k.wakeups++
 			k.mWakeups.Inc()
@@ -189,7 +196,7 @@ func (p *CFSPolicy) reschedule(c *machine.Core) {
 	canSwitch := (cur.vc != nil && c.Depth() == 0) || (cur.vc == nil && c.Depth() == 1)
 	if preempt && canSwitch {
 		k.deschedule(c, cur)
-		c.Exec(k.cfg.Label+".ctxsw", k.cfg.CtxSwitch, func() { k.schedule(c) })
+		c.Exec(p.ctxswLabel, k.cfg.CtxSwitch, func() { k.schedule(c) })
 		return
 	}
 	k.resume(c)

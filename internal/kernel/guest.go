@@ -47,6 +47,9 @@ type GuestConfig struct {
 type Guest struct {
 	cfg GuestConfig
 
+	// Exec labels, built once (every VIRQ runs one of them).
+	labelTick, labelNotify, labelMbox, labelDev string
+
 	// procs maps VCPU index to the workload it runs.
 	procs map[int]osapi.Process
 
@@ -69,10 +72,14 @@ type Guest struct {
 // NewGuest builds a guest kernel from its cost table.
 func NewGuest(cfg GuestConfig) *Guest {
 	return &Guest{
-		cfg:     cfg,
-		procs:   make(map[int]osapi.Process),
-		done:    make(map[int]bool),
-		running: make(map[int]bool),
+		cfg:         cfg,
+		labelTick:   cfg.Label + ".tick",
+		labelNotify: cfg.Label + ".notify",
+		labelMbox:   cfg.Label + ".mbox",
+		labelDev:    cfg.Label + ".dev",
+		procs:       make(map[int]osapi.Process),
+		done:        make(map[int]bool),
+		running:     make(map[int]bool),
 	}
 }
 
@@ -115,13 +122,13 @@ func (g *Guest) HandleVIRQ(vc *hafnium.VCPU, virq int) {
 	case virq == gic.IRQVirtualTimer:
 		g.tick(vc)
 	case virq == hafnium.VIRQNotification:
-		vc.Exec(g.cfg.Label+".notify", g.cfg.NotifyCost, func() {
+		vc.Exec(g.labelNotify, g.cfg.NotifyCost, func() {
 			if g.OnNotification != nil {
 				g.OnNotification(vc)
 			}
 		})
 	case virq == hafnium.VIRQMailbox:
-		vc.Exec(g.cfg.Label+".mbox", g.cfg.MboxCost, func() {
+		vc.Exec(g.labelMbox, g.cfg.MboxCost, func() {
 			if msg, err := vc.ReceiveMessage(); err == nil && g.OnMessage != nil {
 				g.OnMessage(vc, msg)
 			}
@@ -133,7 +140,7 @@ func (g *Guest) HandleVIRQ(vc *hafnium.VCPU, virq int) {
 		}
 		g.devirqs++
 		vc.VM().Metric("device_irqs").Inc()
-		vc.Exec(g.cfg.Label+".dev", cost, func() {
+		vc.Exec(g.labelDev, cost, func() {
 			if g.OnDeviceIRQ != nil {
 				g.OnDeviceIRQ(vc, virq)
 			}
@@ -148,7 +155,7 @@ func (g *Guest) tick(vc *hafnium.VCPU) {
 	if g.cfg.TickWork != nil {
 		cost += g.cfg.TickWork(vc.Now())
 	}
-	vc.Exec(g.cfg.Label+".tick", cost, func() {
+	vc.Exec(g.labelTick, cost, func() {
 		g.ticks++
 		vc.VM().Metric("ticks").Inc()
 		if g.running[vc.Index()] {
