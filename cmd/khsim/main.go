@@ -213,7 +213,6 @@ func clusterCmd(args []string) {
 	artifact := fs.String("artifact", "", "write the deterministic merged trace artifact to FILE")
 	showTrace := fs.Bool("trace", false, "print the full merged trace instead of the summary")
 	check := fs.Bool("check", false, "exit non-zero unless the failover properties hold")
-	parallel := fs.Bool("parallel", false, "run node engines on goroutines under conservative windows (same seed, same artifact)")
 	nodes := fs.Int("nodes", 0, "override the manifest's rack size")
 	fs.Parse(args)
 
@@ -235,7 +234,7 @@ func clusterCmd(args []string) {
 	if *nodes > 0 {
 		m.Nodes = *nodes
 	}
-	r, err := harness.RunClusterManifestMode(m, *seed, *parallel)
+	r, err := harness.RunClusterManifest(m, *seed)
 	if err != nil {
 		fail(err)
 	}

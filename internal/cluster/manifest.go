@@ -39,8 +39,9 @@ type ClusterManifest struct {
 	ProposeEvery sim.Duration
 	// SpinChunk, when positive, chunks each replica VM's spin workload at
 	// this granularity (noise.Selfish.ChunkTime) instead of one long
-	// burn. Dense per-node event streams are what the parallel engine's
-	// speedup benchmarks need; zero keeps the sparse default.
+	// burn. The dense per-node event stream this produces is a stress
+	// case for the cluster multiplexer's next-event heap; zero keeps the
+	// sparse default.
 	SpinChunk sim.Duration
 	// NodePlan is the embedded per-node Hafnium manifest text.
 	NodePlan string

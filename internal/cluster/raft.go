@@ -169,7 +169,7 @@ func wireSize(payload any) int {
 	}
 }
 
-// TraceRecord is one line of the deterministic merged protocol trace.
+// TraceRecord is one line of the deterministic cluster-wide protocol trace.
 type TraceRecord struct {
 	At    sim.Time
 	Node  int
@@ -189,14 +189,11 @@ type Service struct {
 	reps   []*Replica
 
 	started bool
+	trace   []TraceRecord
 
 	mElections *metrics.Counter
 	mCommits   *metrics.Counter
 	mProposals *metrics.Counter
-	// Per-replica counts already pushed into the metrics counters; the
-	// counts themselves live on the replicas (see Replica shards) so
-	// protocol events never write Service state from node engines.
-	elecFlushed, commFlushed, propFlushed uint64
 }
 
 // New builds the service over an attached fabric: one replica per node,
@@ -318,57 +315,12 @@ func (s *Service) PrefixConsistent() bool {
 	return true
 }
 
-// Trace returns the merged protocol trace in global firing order. Each
-// replica records its lines into a private shard (so replicas never
-// write shared state from their node engines — load-bearing under the
-// cluster's parallel mode); the merge orders by timestamp, ties broken
-// toward the lowest node id, then per-node append order. That is exactly
-// the order the sequential multiplexer fires events in, so the merged
-// trace is byte-identical whether the run was sequential or parallel.
-func (s *Service) Trace() []TraceRecord {
-	total := 0
-	for _, r := range s.reps {
-		total += len(r.trace)
-	}
-	out := make([]TraceRecord, 0, total)
-	heads := make([]int, len(s.reps))
-	for len(out) < total {
-		best := -1
-		for n, r := range s.reps {
-			if heads[n] >= len(r.trace) {
-				continue
-			}
-			if best < 0 || r.trace[heads[n]].At < s.reps[best].trace[heads[best]].At {
-				best = n
-			}
-		}
-		out = append(out, s.reps[best].trace[heads[best]])
-		heads[best]++
-	}
-	return out
-}
+// Trace returns the protocol trace (aliased, not copied). Replicas append
+// as their events fire, so it is in the cluster multiplexer's global
+// firing order: by timestamp, same-instant events lowest node first.
+func (s *Service) Trace() []TraceRecord { return s.trace }
 
-// FlushMetrics pushes the per-replica protocol counts accumulated since
-// the last flush into the registry counters. Must be called from a
-// single-threaded point (between windows or after the run); shard sums
-// are order-independent so the counter values are deterministic.
-func (s *Service) FlushMetrics() {
-	if s.mElections == nil {
-		return
-	}
-	var elec, comm, prop uint64
-	for _, r := range s.reps {
-		elec += r.elections
-		comm += r.commits
-		prop += r.proposals
-	}
-	s.mElections.Add(elec - s.elecFlushed)
-	s.mCommits.Add(comm - s.commFlushed)
-	s.mProposals.Add(prop - s.propFlushed)
-	s.elecFlushed, s.commFlushed, s.propFlushed = elec, comm, prop
-}
-
-// TraceString renders the merged trace, one record per line — the
+// TraceString renders the trace, one record per line — the
 // byte-identical artifact the determinism gate compares across runs.
 func (s *Service) TraceString() string {
 	var b strings.Builder
@@ -379,9 +331,16 @@ func (s *Service) TraceString() string {
 	return b.String()
 }
 
-func (s *Service) tracef(node int, at sim.Time, format string, args ...any) {
-	r := s.reps[node]
-	r.trace = append(r.trace, TraceRecord{At: at, Node: node, Event: fmt.Sprintf(format, args...)})
+// tracef appends a trace line stamped with replica r's node and clock.
+func (r *Replica) tracef(format string, args ...any) {
+	r.svc.trace = append(r.svc.trace, TraceRecord{At: r.eng.Now(), Node: r.id, Event: fmt.Sprintf(format, args...)})
+}
+
+// inc bumps a protocol counter; c is nil until SetMetrics.
+func inc(c *metrics.Counter) {
+	if c != nil {
+		c.Inc()
+	}
 }
 
 func (s *Service) majority() int { return len(s.reps)/2 + 1 }
@@ -412,15 +371,6 @@ type Replica struct {
 	hbEv       sim.Event
 
 	timeouts uint64 // election-timeout firings (failover-bound metric)
-
-	// Shards of the service-level trace and protocol counters. Written
-	// only from events on this replica's own node engine — per-node
-	// worker goroutines under the cluster's parallel mode — and merged
-	// at single-threaded points (Service.Trace, Service.FlushMetrics).
-	trace     []TraceRecord
-	elections uint64
-	commits   uint64
-	proposals uint64
 }
 
 // ID reports the replica's node id.
@@ -500,8 +450,8 @@ func (r *Replica) electionTimeout() {
 	r.voted = r.id
 	r.lead = -1
 	r.votes = 1
-	r.elections++
-	r.svc.tracef(r.id, r.eng.Now(), "election timeout: candidate term=%d last=(%d,t%d)", r.term, r.log.Len(), r.lastTerm())
+	inc(r.svc.mElections)
+	r.tracef("election timeout: candidate term=%d last=(%d,t%d)", r.term, r.log.Len(), r.lastTerm())
 	req := voteReq{Term: r.term, Candidate: r.id, LastIndex: r.log.Len(), LastTerm: r.lastTerm()}
 	for _, p := range r.svc.reps {
 		if p.id != r.id {
@@ -514,7 +464,7 @@ func (r *Replica) electionTimeout() {
 // stepDown adopts a higher term as a follower.
 func (r *Replica) stepDown(term uint64) {
 	if r.role == Leader {
-		r.svc.tracef(r.id, r.eng.Now(), "step down: term %d -> %d", r.term, term)
+		r.tracef("step down: term %d -> %d", r.term, term)
 		r.eng.Cancel(r.hbEv)
 		for i := range r.retry {
 			r.eng.Cancel(r.retry[i])
@@ -544,7 +494,7 @@ func (r *Replica) becomeLeader() {
 	}
 	r.eng.Cancel(r.electionEv)
 	r.log.Append(r.term, []byte(fmt.Sprintf("leader n%d term %d", r.id, r.term)))
-	r.svc.tracef(r.id, r.eng.Now(), "leader term=%d log=%d", r.term, r.log.Len())
+	r.tracef("leader term=%d log=%d", r.term, r.log.Len())
 	r.heartbeat()
 }
 
@@ -648,7 +598,7 @@ func (r *Replica) onVoteReq(q voteReq) {
 			granted = true
 			r.voted = q.Candidate
 			r.armElection()
-			r.svc.tracef(r.id, r.eng.Now(), "vote for n%d term=%d", q.Candidate, q.Term)
+			r.tracef("vote for n%d term=%d", q.Candidate, q.Term)
 		}
 	}
 	r.send(q.Candidate, voteResp{Term: r.term, Voter: r.id, Granted: granted})
@@ -711,7 +661,7 @@ func (r *Replica) onAppend(q appendReq) {
 		}
 		if c > r.commit {
 			r.commit = c
-			r.svc.tracef(r.id, r.eng.Now(), "commit=%d head=%x", r.commit, shortHead(r.log))
+			r.tracef("commit=%d head=%x", r.commit, shortHead(r.log))
 		}
 	}
 	r.send(q.Leader, appendResp{Term: r.term, From: r.id, Success: true, Match: idx})
@@ -770,8 +720,8 @@ func (r *Replica) advanceCommit() {
 			continue
 		}
 		r.commit = i
-		r.commits++
-		r.svc.tracef(r.id, r.eng.Now(), "commit=%d head=%x", r.commit, shortHead(r.log))
+		inc(r.svc.mCommits)
+		r.tracef("commit=%d head=%x", r.commit, shortHead(r.log))
 	}
 }
 
@@ -783,7 +733,7 @@ func (r *Replica) propose(payload []byte, forwarded bool) bool {
 	}
 	if r.role == Leader {
 		r.log.Append(r.term, payload)
-		r.proposals++
+		inc(r.svc.mProposals)
 		return true
 	}
 	if forwarded || r.lead < 0 || r.lead == r.id {

@@ -264,28 +264,14 @@ var manifestNetKind = map[string]faults.Kind{
 // "follower", "partitioned" — resolve at fire time against live protocol
 // state, which only the harness can see.
 func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverReport, error) {
-	return RunClusterManifestMode(m, seed, false)
-}
-
-// RunClusterManifestMode is RunClusterManifest with an execution-mode
-// switch: parallel selects the cluster's conservative parallel engine
-// (machine.Cluster.RunUntilParallel). Every manifest fault time is
-// registered as a sync point — the campaign's dynamic-target resolution
-// reads cross-node protocol state and hops engines, which windows cannot
-// contain. Same seed, same report and artifact bytes in both modes.
-func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bool) (*FailoverReport, error) {
 	mc, err := machine.NewCluster(machine.ClusterConfig{
-		Nodes:    m.Nodes,
-		Node:     clusterNodeConfig(),
-		Seed:     seed,
-		Link:     m.Link,
-		Parallel: parallel,
+		Nodes: m.Nodes,
+		Node:  clusterNodeConfig(),
+		Seed:  seed,
+		Link:  m.Link,
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, f := range m.Faults {
-		mc.SyncAt(sim.Time(0).Add(f.At))
 	}
 	stacks := make([]*core.SecureNode, m.Nodes)
 	replicaVMs := make([]*hafnium.VM, m.Nodes)
@@ -512,7 +498,6 @@ func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bo
 	}
 
 	mc.Run(m.Run)
-	svc.FlushMetrics()
 
 	// Post-run analysis: the new leader is the first leadership record
 	// traced after the kill; candidacies in between are the failover cost.

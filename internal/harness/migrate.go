@@ -211,22 +211,13 @@ func (r *MigrationReport) String() string {
 // RunMigrationSuite runs the full sweep: the clean working-set cells
 // plus the mid-transfer kill cell.
 func RunMigrationSuite(seed uint64) (*MigrationReport, error) {
-	return RunMigrationSuiteMode(seed, false)
-}
-
-// RunMigrationSuiteMode is RunMigrationSuite with an execution-mode
-// switch. Under the parallel mode the cluster steps sequentially while a
-// migration is unresolved (the documented composition contract — the
-// transfer paces off the shared link cursor), then resumes windowing, so
-// the report is byte-identical to the sequential run.
-func RunMigrationSuiteMode(seed uint64, parallel bool) (*MigrationReport, error) {
 	rep := &MigrationReport{Seed: seed, Nodes: 3, Run: sim.FromMicros(120_000)}
 	for _, ws := range migWorkingSets {
-		if err := runMigrationCell(rep, ws, false, parallel); err != nil {
+		if err := runMigrationCell(rep, ws, false); err != nil {
 			return nil, err
 		}
 	}
-	if err := runMigrationCell(rep, migKillWS, true, parallel); err != nil {
+	if err := runMigrationCell(rep, migKillWS, true); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -275,15 +266,14 @@ func migNodeConfig() machine.Config {
 
 // runMigrationCell builds a fresh 3-node rack, migrates the job VM from
 // node 0 to node 1 mid-run, and appends the cell outcome to rep.
-func runMigrationCell(rep *MigrationReport, ws int, kill, parallel bool) error {
+func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 	const nodes = 3
 	run := rep.Run
 	seed := rep.Seed
 	mc, err := machine.NewCluster(machine.ClusterConfig{
-		Nodes:    nodes,
-		Node:     migNodeConfig(),
-		Seed:     seed,
-		Parallel: parallel,
+		Nodes: nodes,
+		Node:  migNodeConfig(),
+		Seed:  seed,
 	})
 	if err != nil {
 		return err
@@ -357,8 +347,20 @@ func runMigrationCell(rep *MigrationReport, ws int, kill, parallel bool) error {
 
 	// Lifecycle records (including the migration transitions) are signed,
 	// verified and proposed to the replicated ledger the moment they land
-	// in the node-local one.
+	// in the node-local one. A replica that knows no leader (mid-election,
+	// say, after the kill cell partitions the target) refuses the
+	// proposal; the record is then re-proposed once per heartbeat until it
+	// enters the protocol or stopAt passes, so it is not silently lost.
 	stopAt := sim.Time(0).Add(run - run/8)
+	var propose func(id int, eng *sim.Engine, payload []byte)
+	propose = func(id int, eng *sim.Engine, payload []byte) {
+		if svc.Propose(id, payload) {
+			return
+		}
+		if at := eng.Now().Add(pcfg.Heartbeat); at <= stopAt {
+			eng.ScheduleNamed(at, "ledger.repropose", func() { propose(id, eng, payload) })
+		}
+	}
 	for i := 0; i < nodes; i++ {
 		id, eng := i, engines[i]
 		stacks[i].OnLifecycle = func(ev hafnium.LifecycleEvent) {
@@ -372,7 +374,7 @@ func runMigrationCell(rep *MigrationReport, ws int, kill, parallel bool) error {
 				return
 			}
 			rep.SigVerified++
-			svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
+			propose(id, eng, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
 		}
 	}
 
@@ -393,14 +395,6 @@ func runMigrationCell(rep *MigrationReport, ws int, kill, parallel bool) error {
 		rules := []faults.Rule{
 			{Kind: faults.MigrationKill, Target: "target", At: []sim.Time{sim.Time(0).Add(sim.FromMicros(25_000))}},
 			{Kind: faults.NetHeal, Target: "node1", At: []sim.Time{sim.Time(0).Add(sim.FromMicros(60_000))}},
-		}
-		// The fault rules mutate fabric state from node 0's engine; no
-		// window may span their fire times (the heal can land after the
-		// aborted transfer resolves and windowing has resumed).
-		for _, r := range rules {
-			for _, at := range r.At {
-				mc.SyncAt(at)
-			}
 		}
 		in, err = faults.New(mc.Nodes[0], stacks[0].Hyp, seed, rules)
 		if err != nil {

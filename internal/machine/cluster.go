@@ -22,11 +22,6 @@ type ClusterConfig struct {
 	// Link parameterizes every point-to-point link (zero value selects
 	// net.DefaultLink).
 	Link net.LinkConfig
-	// Parallel selects the conservative parallel execution mode: Run and
-	// RunUntil advance the cluster in lookahead-wide windows with one
-	// goroutine per node instead of multiplexing one event at a time.
-	// Same seed, same artifacts — see RunUntilParallel.
-	Parallel bool
 }
 
 // Cluster is N independent node stacks and the fabric joining them. Each
@@ -34,9 +29,7 @@ type ClusterConfig struct {
 // cluster multiplexes them by always firing the globally earliest event
 // (ties broken by node index). Cross-node interaction happens only
 // through fabric messages, whose positive link latency guarantees a
-// scheduled delivery never lands in a destination's past; that same
-// lookahead is what the future conservative parallel engine will window
-// on.
+// scheduled delivery never lands in a destination's past.
 type Cluster struct {
 	Nodes  []*Node
 	Fabric *net.Fabric
@@ -59,20 +52,10 @@ type Cluster struct {
 	// on each node's earliest unfired event. Each engine's schedule hook
 	// performs decrease-key/insert; fired and cancelled events make keys
 	// go stale-low, which next() repairs lazily by raising to the
-	// engine's actual NextAt and re-sifting. hookOff suspends the hooks
-	// while node workers run a parallel window (the heap is shared state;
-	// windows fire everything below the horizon, so suspended keys remain
-	// valid lower bounds for what survives).
+	// engine's actual NextAt and re-sifting.
 	heapIdx []int      // heap of node indices, min at heapIdx[0]
 	heapPos []int      // node index -> position in heapIdx, -1 when absent
 	heapKey []sim.Time // node index -> cached lower bound on NextAt
-	hookOff bool
-
-	// Sync points and scratch for the parallel mode (see parallel.go).
-	syncs     []sim.Time
-	winActive []int
-	winFired  []uint64
-	winPanics []any
 }
 
 // NewCluster builds the rack: n nodes from the template with
@@ -162,11 +145,8 @@ func (c *Cluster) next() (int, sim.Time) {
 
 // noteSchedule is the per-engine schedule hook: node i just scheduled an
 // event at time at, so decrease its cached key (or re-insert a drained
-// node). Suspended during parallel windows — see hookOff.
+// node).
 func (c *Cluster) noteSchedule(i int, at sim.Time) {
-	if c.hookOff {
-		return
-	}
 	if pos := c.heapPos[i]; pos >= 0 {
 		if at < c.heapKey[i] {
 			c.heapKey[i] = at
@@ -201,8 +181,7 @@ func (c *Cluster) rebuildHeap() {
 }
 
 // heapLess orders heap entries by (key, node index): the index tiebreak
-// is what makes same-instant events fire lowest-node-first, the invariant
-// the parallel mode's canonical merge reproduces.
+// is what makes same-instant events fire lowest-node-first.
 func (c *Cluster) heapLess(a, b int) bool {
 	ka, kb := c.heapKey[a], c.heapKey[b]
 	return ka < kb || (ka == kb && a < b)
@@ -284,13 +263,8 @@ func (c *Cluster) Step() bool {
 
 // RunUntil fires events in global timestamp order until the earliest
 // remaining event lies strictly after t, then advances every node's clock
-// to t. It returns the number of events fired across the cluster. With
-// ClusterConfig.Parallel set it dispatches to RunUntilParallel, which
-// produces bit-identical results.
+// to t. It returns the number of events fired across the cluster.
 func (c *Cluster) RunUntil(t sim.Time) uint64 {
-	if c.cfg.Parallel {
-		return c.RunUntilParallel(t)
-	}
 	var fired uint64
 	for {
 		i, at := c.next()
@@ -309,6 +283,12 @@ func (c *Cluster) RunUntil(t sim.Time) uint64 {
 	}
 	return fired
 }
+
+// SyncAt has no effect. It registered sync points for a conservative
+// parallel execution mode that was removed because it never ran faster
+// than the sequential multiplexer; the method stays only so existing
+// callers outside this module keep compiling.
+func (c *Cluster) SyncAt(sim.Time) {}
 
 // Run advances global virtual time by d.
 func (c *Cluster) Run(d sim.Duration) uint64 { return c.RunUntil(c.vt.Add(d)) }

@@ -48,8 +48,7 @@ type Handler func(m Message)
 type LinkConfig struct {
 	// Latency is the propagation delay, charged after serialization.
 	// It must be positive: a zero-latency fabric would destroy the
-	// cross-node lookahead the cluster multiplexer (and the future
-	// conservative parallel engine) relies on.
+	// cross-node lookahead the cluster multiplexer relies on.
 	Latency sim.Duration
 	// Bandwidth is the per-direction link bandwidth in bytes/second.
 	Bandwidth float64
@@ -99,28 +98,6 @@ type endpoint struct {
 	dropNext    int          // drop the next N messages touching this node
 	delayUntil  sim.Time     // delay spike window end
 	delayExtra  sim.Duration // extra latency while the window is open
-
-	// Delivery-side counter shards. deliver runs on the *destination*
-	// node's engine — under the cluster's parallel window mode that is a
-	// per-node worker goroutine — so delivery counts accumulate here, in
-	// state only the owning node's events touch, and Stats sums the
-	// shards. Plain sums are order-independent, so the merged totals are
-	// deterministic without locks that would perturb nothing but still
-	// cost the hot path.
-	delivered    uint64 // successful deliveries into this node
-	dropInFlight uint64 // messages to this node lost to a mid-flight partition
-}
-
-// pendingSend is one deferred Send recorded during a parallel window: the
-// full send parameters plus the sender-clock timestamp at the call. SeqAt
-// the source is implicit — outboxes are append-only per source node, so a
-// source's sends stay in program order.
-type pendingSend struct {
-	at      sim.Time
-	to      NodeID
-	kind    string
-	payload any
-	bytes   int
 }
 
 // Fabric is the full-mesh interconnect. Build with NewFabric, Attach each
@@ -141,23 +118,6 @@ type Fabric struct {
 	mSent     *metrics.Counter
 	mDeliv    *metrics.Counter
 	mDropped  *metrics.Counter
-
-	// Parallel-window state. While windowed, Send defers into the
-	// caller's outbox instead of touching shared fabric state (seq, link
-	// cursors, stats); EndWindow replays everything in the canonical
-	// global order. heads is the merge cursor scratch, reused across
-	// windows.
-	windowed bool
-	outbox   [][]pendingSend
-	heads    []int
-
-	// Shard totals already pushed into the metrics counters: the
-	// delivery-side counters live in per-endpoint shards (see endpoint),
-	// so the net.delivered / net.dropped metrics advance by delta at
-	// deterministic flush points (Stats, Snapshot, EndWindow) rather
-	// than inside delivery events that may run on worker goroutines.
-	mDelivFlushed  uint64
-	mDropIFFlushed uint64
 }
 
 // NewFabric builds a fabric for n nodes with homogeneous links.
@@ -246,92 +206,8 @@ func (f *Fabric) check(id NodeID) error {
 	return nil
 }
 
-// Stats returns a snapshot of the fabric counters, summing the
-// per-endpoint delivery shards into the totals. Reading stats also
-// flushes the delivery deltas into the metrics counters, so it is one of
-// the deterministic points where net.delivered / net.dropped catch up.
-func (f *Fabric) Stats() Stats {
-	s := f.stats
-	for i := range f.nodes {
-		s.Delivered += f.nodes[i].delivered
-		s.DroppedPartitionInFlight += f.nodes[i].dropInFlight
-	}
-	f.syncMetrics()
-	return s
-}
-
-// syncMetrics pushes the delivery-shard deltas accumulated since the last
-// flush into the registry counters. Shard sums are order-independent, so
-// calling this at any single-threaded point yields the same counter
-// values regardless of how deliveries interleaved across node workers.
-func (f *Fabric) syncMetrics() {
-	if f.mDeliv == nil {
-		return
-	}
-	var deliv, dropIF uint64
-	for i := range f.nodes {
-		deliv += f.nodes[i].delivered
-		dropIF += f.nodes[i].dropInFlight
-	}
-	f.mDeliv.Add(deliv - f.mDelivFlushed)
-	f.mDropped.Add(dropIF - f.mDropIFFlushed)
-	f.mDelivFlushed, f.mDropIFFlushed = deliv, dropIF
-}
-
-// BeginWindow switches the fabric into deferred-send mode for one
-// conservative parallel window: until EndWindow, Send validates its
-// arguments and appends to the sender's private outbox instead of
-// mutating shared fabric state, so per-node engines may run concurrently.
-// The fault-injection APIs (Partition, Heal, DropNext, DelaySpike) and
-// LinkBusyUntil panic while a window is open — the cluster layer must
-// schedule those at sync points between windows.
-func (f *Fabric) BeginWindow() {
-	if f.outbox == nil {
-		f.outbox = make([][]pendingSend, len(f.nodes))
-		f.heads = make([]int, len(f.nodes))
-	}
-	f.windowed = true
-}
-
-// EndWindow closes the current window and replays every deferred send in
-// the canonical global order: ascending send timestamp, ties broken by
-// source node index, then per-source program order (outboxes are FIFO).
-// This is exactly the order the sequential multiplexer would have
-// performed the sends in — the globally earliest event fires first, with
-// the lowest node index winning same-instant ties — so sequence numbers,
-// link-cursor serialization, and drop accounting come out bit-identical
-// to a sequential run of the same seed.
-func (f *Fabric) EndWindow() {
-	f.windowed = false
-	for i := range f.heads {
-		f.heads[i] = 0
-	}
-	for {
-		best := -1
-		for n := range f.outbox {
-			if f.heads[n] >= len(f.outbox[n]) {
-				continue
-			}
-			if best < 0 || f.outbox[n][f.heads[n]].at < f.outbox[best][f.heads[best]].at {
-				best = n
-			}
-		}
-		if best < 0 {
-			break
-		}
-		p := &f.outbox[best][f.heads[best]]
-		f.heads[best]++
-		f.transmit(p.at, NodeID(best), p.to, p.kind, p.payload, p.bytes)
-		p.payload = nil // don't pin protocol payloads in the reused outbox
-	}
-	for n := range f.outbox {
-		f.outbox[n] = f.outbox[n][:0]
-	}
-	f.syncMetrics()
-}
-
-// Windowed reports whether a parallel window is currently open.
-func (f *Fabric) Windowed() bool { return f.windowed }
+// Stats returns a snapshot of the fabric counters.
+func (f *Fabric) Stats() Stats { return f.stats }
 
 // LinkBusyUntil reports when the directed link (from, to) finishes
 // serializing everything queued on it — the link cursor. Bulk-transfer
@@ -339,18 +215,7 @@ func (f *Fabric) Windowed() bool { return f.windowed }
 // boundaries reflect real contention from whatever else shares the link,
 // instead of a private estimate that would drift from the fabric's.
 func (f *Fabric) LinkBusyUntil(from, to NodeID) sim.Time {
-	f.noWindow("LinkBusyUntil")
 	return f.busy[[2]NodeID{from, to}]
-}
-
-// noWindow panics if a parallel window is open: op depends on (or
-// mutates) shared fabric state that is frozen mid-window, so calling it
-// from a node worker would silently read stale values or race. The
-// cluster layer runs such operations at sync points between windows.
-func (f *Fabric) noWindow(op string) {
-	if f.windowed {
-		panic("net: " + op + " during an open parallel window; run it at a cluster sync point")
-	}
 }
 
 // Partitioned reports whether node id is currently partitioned. An
@@ -366,7 +231,6 @@ func (f *Fabric) Partitioned(id NodeID) bool {
 // Partition isolates node id: every message sent by it, addressed to it,
 // or already in flight toward it is dropped until Heal.
 func (f *Fabric) Partition(id NodeID) error {
-	f.noWindow("Partition")
 	if err := f.check(id); err != nil {
 		return err
 	}
@@ -377,7 +241,6 @@ func (f *Fabric) Partition(id NodeID) error {
 // Heal reconnects a partitioned node. Messages lost during the partition
 // stay lost; the protocol layer's retries are what reconverge state.
 func (f *Fabric) Heal(id NodeID) error {
-	f.noWindow("Heal")
 	if err := f.check(id); err != nil {
 		return err
 	}
@@ -388,7 +251,6 @@ func (f *Fabric) Heal(id NodeID) error {
 // DropNext drops the next n messages sent by or addressed to node id — a
 // targeted loss burst, checked and consumed at send time.
 func (f *Fabric) DropNext(id NodeID, n int) error {
-	f.noWindow("DropNext")
 	if err := f.check(id); err != nil {
 		return err
 	}
@@ -407,7 +269,6 @@ func (f *Fabric) DropNext(id NodeID, n int) error {
 // so a short late spike can never truncate an earlier longer one. A
 // spike arriving after the previous window expired replaces it outright.
 func (f *Fabric) DelaySpike(id NodeID, extra sim.Duration, window sim.Duration) error {
-	f.noWindow("DelaySpike")
 	if err := f.check(id); err != nil {
 		return err
 	}
@@ -475,25 +336,6 @@ func (f *Fabric) Send(from, to NodeID, kind string, payload any, bytes int) erro
 		return fmt.Errorf("net: link %d->%d has an unattached endpoint", from, to)
 	}
 	now := src.eng.Now()
-	if f.windowed {
-		// Parallel window: the caller is (potentially) a node worker
-		// goroutine, so record the send in the sender's private outbox
-		// and let EndWindow replay it in canonical order. Nothing shared
-		// is touched past this point.
-		f.outbox[from] = append(f.outbox[from], pendingSend{at: now, to: to, kind: kind, payload: payload, bytes: bytes})
-		return nil
-	}
-	f.transmit(now, from, to, kind, payload, bytes)
-	return nil
-}
-
-// transmit performs the shared-state half of a send: sequence numbering,
-// drop/partition accounting, link-cursor serialization, and scheduling
-// the delivery event on the destination engine. now is the sender's clock
-// at the Send call — passed explicitly because under parallel windows the
-// sender's engine has moved on by the time EndWindow replays the send.
-func (f *Fabric) transmit(now sim.Time, from, to NodeID, kind string, payload any, bytes int) {
-	src, dst := &f.nodes[from], &f.nodes[to]
 	f.seq++
 	f.stats.Sent++
 	if f.mSent != nil {
@@ -515,14 +357,14 @@ func (f *Fabric) transmit(now sim.Time, from, to NodeID, kind string, payload an
 		if f.mDropped != nil {
 			f.mDropped.Inc()
 		}
-		return
+		return nil
 	}
 	if src.partitioned || dst.partitioned {
 		f.stats.DroppedPartition++
 		if f.mDropped != nil {
 			f.mDropped.Inc()
 		}
-		return
+		return nil
 	}
 	// Serialization: the directed link transmits FIFO, so this message
 	// starts when the link is free and occupies it for bytes/bandwidth.
@@ -540,6 +382,7 @@ func (f *Fabric) transmit(now sim.Time, from, to NodeID, kind string, payload an
 	}
 	m := &Message{From: from, To: to, Kind: kind, Payload: payload, Bytes: bytes, Seq: f.seq, SentAt: now}
 	dst.eng.ScheduleArg(deliverAt, "net.deliver", f.deliverFn, m)
+	return nil
 }
 
 // deliver runs on the destination engine: the partition state is
@@ -550,14 +393,17 @@ func (f *Fabric) transmit(now sim.Time, from, to NodeID, kind string, payload an
 func (f *Fabric) deliver(arg any) {
 	m := arg.(*Message)
 	src, dst := &f.nodes[m.From], &f.nodes[m.To]
-	// Delivery runs on the destination engine — a per-node worker under
-	// the parallel mode — so only the destination's own counter shards
-	// are touched here; metrics catch up at the next flush point.
 	if src.partitioned || dst.partitioned {
-		dst.dropInFlight++
+		f.stats.DroppedPartitionInFlight++
+		if f.mDropped != nil {
+			f.mDropped.Inc()
+		}
 		return
 	}
-	dst.delivered++
+	f.stats.Delivered++
+	if f.mDeliv != nil {
+		f.mDeliv.Inc()
+	}
 	for i := range dst.kinds {
 		kb := &dst.kinds[i]
 		if len(m.Kind) >= len(kb.prefix) && m.Kind[:len(kb.prefix)] == kb.prefix {

@@ -207,3 +207,71 @@ func (r *snapRig) runStep() {
 		r.engines[best].Step()
 	}
 }
+
+func TestStatsCountsDeliveries(t *testing.T) {
+	r := newRig(t, 3, DefaultLink())
+	// Deliveries land on different destinations; Stats counts them all.
+	r.engines[0].ScheduleNamed(sim.Time(0), "send", func() {
+		_ = r.f.Send(0, 1, "x", nil, 64)
+		_ = r.f.Send(0, 2, "y", nil, 64)
+	})
+	r.engines[1].ScheduleNamed(sim.Time(0), "send", func() {
+		_ = r.f.Send(1, 2, "z", nil, 64)
+	})
+	r.runAll()
+	s := r.f.Stats()
+	if s.Delivered != 3 || s.Sent != 3 {
+		t.Fatalf("Stats = %+v, want Sent 3 / Delivered 3", s)
+	}
+}
+
+// TestSnapshotRestoresDeliveryCounts pins the delivery-side counters —
+// Delivered and DroppedPartitionInFlight, both counted when the delivery
+// event fires on the destination — across Snapshot/Restore: a restore
+// rewinds them to the snapshot-time values, and counting resumes from
+// there.
+func TestSnapshotRestoresDeliveryCounts(t *testing.T) {
+	r := newRig(t, 2, DefaultLink())
+	ping := func(at sim.Time) {
+		r.engines[0].ScheduleNamed(at, "send", func() { _ = r.f.Send(0, 1, "p", nil, 64) })
+	}
+	// One delivery, then one message lost to a mid-flight partition.
+	ping(sim.Time(0))
+	r.runAll()
+	r.engines[0].ScheduleNamed(r.engines[0].Now().Add(sim.FromMicros(1)), "doomed", func() {
+		_ = r.f.Send(0, 1, "doomed", nil, 64)
+		_ = r.f.Partition(1)
+	})
+	r.runAll()
+	_ = r.f.Heal(1)
+	want := Stats{Sent: 2, Delivered: 1, DroppedPartitionInFlight: 1}
+	if got := r.f.Stats(); got != want {
+		t.Fatalf("Stats = %+v before snapshot, want %+v", got, want)
+	}
+	snap := r.f.Snapshot()
+
+	ping(r.engines[0].Now().Add(sim.FromMicros(1)))
+	r.runAll()
+	r.engines[0].ScheduleNamed(r.engines[0].Now().Add(sim.FromMicros(1)), "doomed", func() {
+		_ = r.f.Send(0, 1, "doomed", nil, 64)
+		_ = r.f.Partition(1)
+	})
+	r.runAll()
+	if got := r.f.Stats(); got.Delivered != 2 || got.DroppedPartitionInFlight != 2 {
+		t.Fatalf("Stats = %+v after second round, want 2 delivered / 2 in-flight drops", got)
+	}
+
+	r.f.Restore(snap)
+	if got := r.f.Stats(); got != want {
+		t.Fatalf("Stats = %+v after Restore, want the snapshot-time %+v", got, want)
+	}
+	if r.f.Partitioned(1) {
+		t.Fatal("Restore kept the post-snapshot partition")
+	}
+	// Counting resumes from the restored baseline.
+	ping(r.engines[0].Now().Add(sim.FromMicros(1)))
+	r.runAll()
+	if got := r.f.Stats(); got.Delivered != 2 || got.DroppedPartitionInFlight != 1 {
+		t.Fatalf("Stats = %+v after post-Restore send, want 2 delivered / 1 in-flight drop", got)
+	}
+}

@@ -356,26 +356,6 @@ func (e *Engine) Run(until Time) uint64 {
 	return e.fired - start
 }
 
-// RunWindow fires events until the queue is empty, Stop is called, or the
-// next event lies at or after limit. Unlike Run, the clock is NOT advanced
-// to the boundary: it stays at the last fired event, exactly as if the
-// events had been fired one Step at a time. This is the per-node half of
-// the cluster's conservative parallel windows — a horizon the engine must
-// never fire past, with clock semantics identical to the sequential
-// multiplexer so window-mode runs stay bit-identical. It returns the
-// number of events fired.
-func (e *Engine) RunWindow(limit Time) uint64 {
-	start := e.fired
-	for !e.stopped {
-		s := e.nextLive()
-		if s == nil || s.when >= limit {
-			break
-		}
-		e.fire(s)
-	}
-	return e.fired - start
-}
-
 // RunAll fires events until the queue drains or Stop is called.
 func (e *Engine) RunAll() uint64 {
 	start := e.fired
