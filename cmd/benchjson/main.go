@@ -19,7 +19,7 @@
 //	                 ns/event reads as ns/fork. The file also carries a
 //	                 "snapshot-fork" comparison block pinning fork cost
 //	                 against cold stack construction; -check requires
-//	                 the cold boot to stay ≥ 10× a fork.
+//	                 the cold boot to stay ≥ 100× a fork.
 //	migration        the live VM migration sweep (3-node cluster, pre-copy
 //	                 + stop-and-copy over the fabric) measured end to end.
 //	                 The file carries a "migration" block with per-cell
@@ -90,7 +90,8 @@ type ScenarioResult struct {
 // ForkResult compares the warm snapshot-fork path against cold stack
 // construction: ns and allocs per Node.Fork (a full whole-node restore,
 // copy-on-write under the stage-2 tables) versus ns per cold build+boot
-// of the same stack. The fork gate requires the speedup to stay ≥ 10×.
+// of the same stack. The fork gate requires the speedup to stay ≥
+// forkGate×.
 type ForkResult struct {
 	NsPerFork      float64 `json:"ns_per_fork"`
 	AllocsPerFork  float64 `json:"allocs_per_fork"`
@@ -99,6 +100,11 @@ type ForkResult struct {
 	Forks          uint64  `json:"forks"`
 	ColdBootsTimed uint64  `json:"cold_boots_timed"`
 }
+
+// forkGate is the minimum cold-boot-over-fork ratio -check accepts. A
+// fork restores only what the forked timeline touched, so it must stay
+// two orders of magnitude cheaper than building and booting the stack.
+const forkGate = 100
 
 // MigrationCellResult is one live-migration cell's gate numbers: the
 // measured stop-and-copy downtime against its budget. Downtime is pure
@@ -768,13 +774,13 @@ func main() {
 			if forkBlock == nil {
 				fmt.Fprintln(os.Stderr, "benchjson: snapshot-fork block committed but no fork measurement ran")
 				failed = true
-			} else if forkBlock.ColdOverFork < 10 {
-				fmt.Fprintf(os.Stderr, "benchjson: REGRESSION snapshot-fork: cold boot is only %.1f× a fork (%.1f µs vs %.1f µs), gate is 10×\n",
-					forkBlock.ColdOverFork, forkBlock.NsPerColdBoot/1e3, forkBlock.NsPerFork/1e3)
+			} else if forkBlock.ColdOverFork < forkGate {
+				fmt.Fprintf(os.Stderr, "benchjson: REGRESSION snapshot-fork: cold boot is only %.1f× a fork (%.1f µs vs %.1f µs), gate is %d×\n",
+					forkBlock.ColdOverFork, forkBlock.NsPerColdBoot/1e3, forkBlock.NsPerFork/1e3, forkGate)
 				failed = true
 			} else {
-				fmt.Printf("check snapshot-fork    ok: fork %.1f µs vs cold boot %.1f µs (%.0f×, gate 10×)\n",
-					forkBlock.NsPerFork/1e3, forkBlock.NsPerColdBoot/1e3, forkBlock.ColdOverFork)
+				fmt.Printf("check snapshot-fork    ok: fork %.1f µs vs cold boot %.1f µs (%.0f×, gate %d×)\n",
+					forkBlock.NsPerFork/1e3, forkBlock.NsPerColdBoot/1e3, forkBlock.ColdOverFork, forkGate)
 			}
 		}
 		if ref.Migration != nil {

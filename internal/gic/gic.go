@@ -11,7 +11,8 @@ package gic
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
 )
 
 // IRQ class boundaries.
@@ -71,24 +72,30 @@ type Asserter interface {
 	AssertIRQ(core int)
 }
 
+// irqState is one IRQ's distributor configuration. It is kept to four
+// bytes: the distributor holds one per IRQ ID in a dense array.
 type irqState struct {
 	enabled  bool
-	priority uint8 // lower value = higher priority, GIC convention
-	target   int   // SPI routing target core
+	priority uint8  // lower value = higher priority, GIC convention
+	target   uint16 // SPI routing target core
 }
 
+// defaultPriority is the reset priority of every IRQ.
+const defaultPriority = 0xA0
+
 // Distributor is the shared half of the GIC plus all per-core interfaces.
+// Like GICD_ISPENDR/GICD_ISACTIVER, per-core pending and active state is
+// a bitmap over IRQ IDs: core c's words are [c*words, (c+1)*words).
 type Distributor struct {
 	cores    int
 	spis     int
-	state    map[int]*irqState // SGIs/PPIs keyed as-is; banked state handled in percore
-	pending  []map[int]bool    // per core: pending IRQ set
-	active   []map[int]bool    // per core: acknowledged, awaiting EOI
-	maskPrio []uint8           // per core: priority mask (PMR); IRQs with priority >= mask are filtered
+	words    int        // bitmap words per core
+	irqs     []irqState // indexed by IRQ ID; SGI/PPI config is not banked
+	pending  []uint64   // per-core pending bitmaps
+	active   []uint64   // per-core acknowledged-awaiting-EOI bitmaps
+	maskPrio []uint8    // per core: priority mask (PMR); IRQs with priority >= mask are filtered
 	sink     Asserter
 	stats    Stats
-
-	ackIDs []int // Acknowledge scratch; reused across calls (single-threaded)
 }
 
 // Stats counts distributor activity.
@@ -102,20 +109,24 @@ type Stats struct {
 
 // New builds a distributor for the given core count and SPI capacity.
 func New(cores, spis int) *Distributor {
-	if cores <= 0 {
-		panic("gic: no cores")
+	if cores <= 0 || cores > math.MaxUint16+1 {
+		panic(fmt.Sprintf("gic: bad core count %d", cores))
 	}
+	n := FirstSPI + spis
+	words := (n + 63) / 64
 	d := &Distributor{
 		cores:    cores,
 		spis:     spis,
-		state:    make(map[int]*irqState),
-		pending:  make([]map[int]bool, cores),
-		active:   make([]map[int]bool, cores),
+		words:    words,
+		irqs:     make([]irqState, n),
+		pending:  make([]uint64, cores*words),
+		active:   make([]uint64, cores*words),
 		maskPrio: make([]uint8, cores),
 	}
-	for i := 0; i < cores; i++ {
-		d.pending[i] = make(map[int]bool)
-		d.active[i] = make(map[int]bool)
+	for i := range d.irqs {
+		d.irqs[i].priority = defaultPriority
+	}
+	for i := range d.maskPrio {
 		d.maskPrio[i] = 0xFF // unmasked
 	}
 	return d
@@ -144,13 +155,10 @@ func (d *Distributor) validCore(core int) error {
 	return nil
 }
 
-func (d *Distributor) irq(irq int) *irqState {
-	s, ok := d.state[irq]
-	if !ok {
-		s = &irqState{priority: 0xA0}
-		d.state[irq] = s
-	}
-	return s
+// bit locates irq's bit in core's bitmaps: the word index into
+// pending/active and the mask within that word.
+func (d *Distributor) bit(core, irq int) (int, uint64) {
+	return core*d.words + irq>>6, 1 << (irq & 63)
 }
 
 // Enable makes an IRQ deliverable.
@@ -158,7 +166,7 @@ func (d *Distributor) Enable(irq int) error {
 	if err := d.validIRQ(irq); err != nil {
 		return err
 	}
-	d.irq(irq).enabled = true
+	d.irqs[irq].enabled = true
 	return nil
 }
 
@@ -167,14 +175,13 @@ func (d *Distributor) Disable(irq int) error {
 	if err := d.validIRQ(irq); err != nil {
 		return err
 	}
-	d.irq(irq).enabled = false
+	d.irqs[irq].enabled = false
 	return nil
 }
 
-// Enabled reports whether the IRQ is enabled.
+// Enabled reports whether the IRQ is enabled; an out-of-range IRQ is not.
 func (d *Distributor) Enabled(irq int) bool {
-	s, ok := d.state[irq]
-	return ok && s.enabled
+	return d.validIRQ(irq) == nil && d.irqs[irq].enabled
 }
 
 // SetPriority assigns the IRQ's priority (lower = more urgent).
@@ -182,7 +189,7 @@ func (d *Distributor) SetPriority(irq int, prio uint8) error {
 	if err := d.validIRQ(irq); err != nil {
 		return err
 	}
-	d.irq(irq).priority = prio
+	d.irqs[irq].priority = prio
 	return nil
 }
 
@@ -197,7 +204,7 @@ func (d *Distributor) Route(irq, core int) error {
 	if err := d.validCore(core); err != nil {
 		return err
 	}
-	d.irq(irq).target = core
+	d.irqs[irq].target = uint16(core)
 	return nil
 }
 
@@ -209,7 +216,7 @@ func (d *Distributor) RaiseSPI(irq int) error {
 	if ClassOf(irq) != SPI {
 		return fmt.Errorf("gic: RaiseSPI on %s %d", ClassOf(irq), irq)
 	}
-	return d.raiseOn(irq, d.irq(irq).target)
+	return d.raiseOn(irq, int(d.irqs[irq].target))
 }
 
 // RaisePPI marks a private interrupt pending on one core.
@@ -240,16 +247,17 @@ func (d *Distributor) SendSGI(toCore, irq int) error {
 }
 
 func (d *Distributor) raiseOn(irq, core int) error {
-	s := d.irq(irq)
+	s := &d.irqs[irq]
 	if !s.enabled {
 		d.stats.Dropped++
 		return nil
 	}
 	d.stats.Raised++
-	if d.pending[core][irq] || d.active[core][irq] {
+	w, b := d.bit(core, irq)
+	if (d.pending[w]|d.active[w])&b != 0 {
 		return nil // level already high / still in service
 	}
-	d.pending[core][irq] = true
+	d.pending[w] |= b
 	if s.priority < d.maskPrio[core] && d.sink != nil {
 		d.sink.AssertIRQ(core)
 	}
@@ -269,45 +277,44 @@ func (d *Distributor) SetPriorityMask(core int, mask uint8) error {
 	return nil
 }
 
-// HasPending reports whether the core has any deliverable pending IRQ.
-func (d *Distributor) HasPending(core int) bool {
-	for irq := range d.pending[core] {
-		s := d.irq(irq)
-		if s.enabled && s.priority < d.maskPrio[core] {
-			return true
+// best returns the highest-priority deliverable pending IRQ on core, or
+// SpuriousIRQ. Bits are scanned in ascending IRQ ID and only a strictly
+// more urgent priority replaces the current pick, so the lowest ID wins
+// ties.
+func (d *Distributor) best(core int) int {
+	best := SpuriousIRQ
+	var bestPrio uint8
+	mask := d.maskPrio[core]
+	for w, word := range d.pending[core*d.words : (core+1)*d.words] {
+		for ; word != 0; word &= word - 1 {
+			irq := w<<6 | bits.TrailingZeros64(word)
+			s := &d.irqs[irq]
+			if !s.enabled || s.priority >= mask {
+				continue
+			}
+			if best == SpuriousIRQ || s.priority < bestPrio {
+				best, bestPrio = irq, s.priority
+			}
 		}
 	}
-	return false
+	return best
 }
+
+// HasPending reports whether the core has any deliverable pending IRQ.
+func (d *Distributor) HasPending(core int) bool { return d.best(core) != SpuriousIRQ }
 
 // Acknowledge returns the highest-priority deliverable pending IRQ for the
 // core, moving it pending→active. With nothing pending it returns the
 // spurious IRQ 1023, as real hardware does.
 func (d *Distributor) Acknowledge(core int) int {
-	best := SpuriousIRQ
-	var bestPrio uint8 = 0xFF
-	ids := d.ackIDs[:0]
-	for irq := range d.pending[core] {
-		ids = append(ids, irq)
-	}
-	d.ackIDs = ids
-	sort.Ints(ids) // deterministic tie-break: lowest IRQ ID wins
-	for _, irq := range ids {
-		s := d.irq(irq)
-		if !s.enabled || s.priority >= d.maskPrio[core] {
-			continue
-		}
-		if best == SpuriousIRQ || s.priority < bestPrio {
-			best = irq
-			bestPrio = s.priority
-		}
-	}
+	best := d.best(core)
 	if best == SpuriousIRQ {
 		d.stats.Spurious++
 		return SpuriousIRQ
 	}
-	delete(d.pending[core], best)
-	d.active[core][best] = true
+	w, b := d.bit(core, best)
+	d.pending[w] &^= b
+	d.active[w] |= b
 	d.stats.Acked++
 	return best
 }
@@ -317,10 +324,14 @@ func (d *Distributor) EOI(core, irq int) error {
 	if err := d.validCore(core); err != nil {
 		return err
 	}
-	if !d.active[core][irq] {
+	if err := d.validIRQ(irq); err != nil {
+		return err
+	}
+	w, b := d.bit(core, irq)
+	if d.active[w]&b == 0 {
 		return fmt.Errorf("gic: EOI for inactive IRQ %d on core %d", irq, core)
 	}
-	delete(d.active[core], irq)
+	d.active[w] &^= b
 	// A still-pending instance (level interrupt) re-asserts.
 	if d.HasPending(core) && d.sink != nil {
 		d.sink.AssertIRQ(core)
@@ -329,4 +340,10 @@ func (d *Distributor) EOI(core, irq int) error {
 }
 
 // PendingCount reports the number of pending IRQs on a core (any state).
-func (d *Distributor) PendingCount(core int) int { return len(d.pending[core]) }
+func (d *Distributor) PendingCount(core int) int {
+	n := 0
+	for _, word := range d.pending[core*d.words : (core+1)*d.words] {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}

@@ -133,7 +133,7 @@ type namedState struct {
 type nodeState struct {
 	engine  sim.State
 	trace   sim.State
-	metrics *metrics.Snapshot
+	metrics metrics.Checkpoint
 	gic     sim.State
 	timers  sim.State
 	cores   []sim.State
@@ -172,7 +172,7 @@ func (n *Node) Snapshot() sim.State {
 	s := &nodeState{
 		engine:  n.Engine.Snapshot(),
 		trace:   n.Trace.Snapshot(),
-		metrics: n.Metrics.Snapshot(),
+		metrics: n.Metrics.Checkpoint(),
 		gic:     n.GIC.Snapshot(),
 		timers:  n.Timers.Snapshot(),
 		cores:   make([]sim.State, len(n.Cores)),
@@ -248,7 +248,7 @@ func (n *Node) Forks() uint64 { return n.forkGen }
 type clusterState struct {
 	nodes   []sim.State
 	fabric  sim.State
-	metrics *metrics.Snapshot
+	metrics metrics.Checkpoint
 	vt      sim.Time
 }
 
@@ -260,7 +260,7 @@ func (c *Cluster) Snapshot() sim.State {
 	s := &clusterState{
 		nodes:   make([]sim.State, len(c.Nodes)),
 		fabric:  c.Fabric.Snapshot(),
-		metrics: c.Metrics.Snapshot(),
+		metrics: c.Metrics.Checkpoint(),
 		vt:      c.vt,
 	}
 	for i, n := range c.Nodes {

@@ -195,11 +195,16 @@ type Registry struct {
 	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
 	hists    map[Key]*Histogram
-	max      int
-	dropped  uint64
-	sinkC    Counter
-	sinkG    Gauge
-	sinkH    *Histogram
+	// Each kind's instruments in registration order. Series are never
+	// removed, so a Checkpoint covers a prefix of each list.
+	counterList []*Counter
+	gaugeList   []*Gauge
+	histList    []*Histogram
+	max         int
+	dropped     uint64
+	sinkC       Counter
+	sinkG       Gauge
+	sinkH       *Histogram
 }
 
 // NewRegistry returns an empty registry with the default series cap.
@@ -221,7 +226,7 @@ func NewRegistryCap(maxSeries int) *Registry {
 
 // Series reports the number of registered series.
 func (r *Registry) Series() int {
-	return len(r.counters) + len(r.gauges) + len(r.hists)
+	return len(r.counterList) + len(r.gaugeList) + len(r.histList)
 }
 
 // Dropped reports how many series creations the cap rejected.
@@ -242,6 +247,7 @@ func (r *Registry) Counter(k Key) *Counter {
 	}
 	c := &Counter{}
 	r.counters[k] = c
+	r.counterList = append(r.counterList, c)
 	return c
 }
 
@@ -257,6 +263,7 @@ func (r *Registry) Gauge(k Key) *Gauge {
 	}
 	g := &Gauge{}
 	r.gauges[k] = g
+	r.gaugeList = append(r.gaugeList, g)
 	return g
 }
 
@@ -276,6 +283,7 @@ func (r *Registry) Histogram(k Key, lo, hi float64, n int) *Histogram {
 	}
 	h := newHistogram(lo, hi, n)
 	r.hists[k] = h
+	r.histList = append(r.histList, h)
 	return h
 }
 

@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"khsim/internal/sim"
 )
@@ -55,10 +56,11 @@ func (w *WalkCache) Snapshot() sim.State {
 	return &walkCacheState{hits: w.hits, misses: w.misses}
 }
 
-// Restore invalidates every cached translation and restores the
-// counters. The flush is mandatory even though the generation check
-// would usually catch staleness: restore is exactly the path where
-// generation numbers from two timelines could otherwise collide.
+// Restore invalidates every cached translation (an O(1) epoch bump) and
+// restores the counters. The flush is mandatory even though the
+// generation check would usually catch staleness: restore is exactly the
+// path where generation numbers from two timelines could otherwise
+// collide.
 func (w *WalkCache) Restore(st sim.State) {
 	s, ok := st.(*walkCacheState)
 	if !ok {
@@ -70,36 +72,47 @@ func (w *WalkCache) Restore(st sim.State) {
 	w.misses = s.misses
 }
 
-// tlbState is TLB's Snapshot payload: a deep copy of every set.
+// tlbState is TLB's Snapshot payload: a copy of every entry. It is
+// never written after Snapshot builds it.
 type tlbState struct {
-	data  [][]tlbEntry
+	data  []tlbEntry
 	clock uint64
 	stats TLBStats
+	live  int
 }
 
-// Snapshot deep-copies the TLB contents, LRU clock and counters. TLB
-// implements sim.Snapshotter. Unlike the page tables the TLB is small
-// and fixed-size, so an eager copy (one allocation per set) is cheaper
-// than CoW bookkeeping would be.
+// Snapshot copies the TLB contents, LRU clock and counters, and makes
+// the copy the TLB's base state: from here on the TLB tracks which sets
+// it writes. TLB implements sim.Snapshotter.
 func (t *TLB) Snapshot() sim.State {
-	s := &tlbState{data: make([][]tlbEntry, len(t.data)), clock: t.clock, stats: t.stats}
-	for i, set := range t.data {
-		cp := make([]tlbEntry, len(set))
-		copy(cp, set)
-		s.data[i] = cp
-	}
+	s := &tlbState{data: append([]tlbEntry(nil), t.data...), clock: t.clock, stats: t.stats, live: t.live}
+	t.base = s
+	clear(t.dirty)
 	return s
 }
 
-// Restore reinstalls a TLB snapshot, entry for entry.
+// Restore reinstalls a TLB snapshot. Restoring the base state (the one
+// the last Snapshot or Restore installed) copies back only the sets
+// written since, so repeated forks of one snapshot cost O(dirtied sets);
+// any other state is copied in full and becomes the new base.
 func (t *TLB) Restore(st sim.State) {
 	s, ok := st.(*tlbState)
 	if !ok {
 		panic(fmt.Sprintf("mmu: TLB.Restore of foreign state %T", st))
 	}
-	for i := range t.data {
-		copy(t.data[i], s.data[i])
+	if s == t.base {
+		for w, word := range t.dirty {
+			for ; word != 0; word &= word - 1 {
+				set := w<<6 | bits.TrailingZeros64(word)
+				copy(t.entries(set), s.data[set*t.ways:(set+1)*t.ways])
+			}
+		}
+	} else {
+		copy(t.data, s.data)
+		t.base = s
 	}
+	clear(t.dirty)
 	t.clock = s.clock
 	t.stats = s.stats
+	t.live = s.live
 }

@@ -41,12 +41,22 @@ func (s TLBStats) HitRate() float64 {
 // TLB is a set-associative translation lookaside buffer with true-LRU
 // replacement within each set. Geometry defaults follow the Cortex-A53's
 // 512-entry, 4-way unified main TLB.
+//
+// Besides the entries the TLB tracks two things that make snapshot
+// restore cheap (see snapshot.go): a count of valid entries, so a
+// whole-TLB invalidation of an empty TLB is O(1), and a per-set dirty
+// bitset of the sets written since the state last installed by Snapshot
+// or Restore, so restoring that same state again copies only those sets.
 type TLB struct {
 	sets  int
 	ways  int
-	data  [][]tlbEntry
+	data  []tlbEntry // set s occupies data[s*ways : (s+1)*ways]
 	clock uint64
 	stats TLBStats
+	live  int // valid entries
+
+	base  *tlbState // state last installed by Snapshot or Restore
+	dirty []uint64  // one bit per set written since base was installed
 }
 
 // NewTLB builds a TLB with the given total entries and associativity.
@@ -58,11 +68,12 @@ func NewTLB(entries, ways int) (*TLB, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("mmu: TLB set count %d not a power of two", sets)
 	}
-	t := &TLB{sets: sets, ways: ways, data: make([][]tlbEntry, sets)}
-	for i := range t.data {
-		t.data[i] = make([]tlbEntry, ways)
-	}
-	return t, nil
+	return &TLB{
+		sets:  sets,
+		ways:  ways,
+		data:  make([]tlbEntry, entries),
+		dirty: make([]uint64, (sets+63)/64),
+	}, nil
 }
 
 // NewA53TLB returns a TLB with Cortex-A53 main-TLB geometry.
@@ -88,16 +99,23 @@ func (t *TLB) ResetStats() { t.stats = TLBStats{} }
 
 func (t *TLB) setFor(vpage uint64) int { return int(vpage) & (t.sets - 1) }
 
+func (t *TLB) entries(set int) []tlbEntry { return t.data[set*t.ways : (set+1)*t.ways] }
+
+// markDirty records that set no longer matches the base state.
+func (t *TLB) markDirty(set int) { t.dirty[set>>6] |= 1 << (set & 63) }
+
 // Lookup searches for a translation of addr in context tag. On a hit it
 // returns the output address and permissions.
 func (t *TLB) Lookup(tag TLBTag, addr uint64) (out uint64, perm Perms, hit bool) {
 	vpage := addr >> GranuleShift
-	set := t.data[t.setFor(vpage)]
+	s := t.setFor(vpage)
+	set := t.entries(s)
 	t.clock++
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.tag == tag && e.vpage == vpage {
 			e.lru = t.clock
+			t.markDirty(s)
 			t.stats.Hits++
 			return e.out | (addr & (GranuleSize - 1)), e.perm, true
 		}
@@ -109,7 +127,9 @@ func (t *TLB) Lookup(tag TLBTag, addr uint64) (out uint64, perm Perms, hit bool)
 // Insert fills a translation, evicting the set's LRU entry if needed.
 func (t *TLB) Insert(tag TLBTag, addr, out uint64, perm Perms) {
 	vpage := addr >> GranuleShift
-	set := t.data[t.setFor(vpage)]
+	s := t.setFor(vpage)
+	set := t.entries(s)
+	t.markDirty(s)
 	t.clock++
 	t.stats.Fills++
 	victim := 0
@@ -130,65 +150,60 @@ func (t *TLB) Insert(tag TLBTag, addr, out uint64, perm Perms) {
 			victim = i
 		}
 	}
+	if !set[victim].valid {
+		t.live++
+	}
 	set[victim] = tlbEntry{
 		valid: true, tag: tag, vpage: vpage,
 		out: out &^ uint64(GranuleSize-1), perm: perm, lru: t.clock,
 	}
 }
 
+// invalidate drops every valid entry match accepts and counts one
+// invalidation operation. An empty TLB returns without scanning.
+func (t *TLB) invalidate(match func(*tlbEntry) bool) int {
+	t.stats.Invalidations++
+	if t.live == 0 {
+		return 0
+	}
+	n := 0
+	for i := range t.data {
+		if e := &t.data[i]; e.valid && match(e) {
+			*e = tlbEntry{}
+			t.markDirty(i / t.ways)
+			n++
+		}
+	}
+	t.live -= n
+	return n
+}
+
 // InvalidateAll drops every entry (TLBI ALLE1 equivalent) and reports how
 // many live entries were dropped.
 func (t *TLB) InvalidateAll() int {
-	n := 0
-	for _, set := range t.data {
-		for i := range set {
-			if set[i].valid {
-				set[i] = tlbEntry{}
-				n++
-			}
-		}
-	}
-	t.stats.Invalidations++
-	return n
+	return t.invalidate(func(*tlbEntry) bool { return true })
 }
 
 // InvalidateVMID drops all entries for one VMID (TLBI VMALLS12E1).
 func (t *TLB) InvalidateVMID(vmid uint16) int {
-	n := 0
-	for _, set := range t.data {
-		for i := range set {
-			if set[i].valid && set[i].tag.VMID == vmid {
-				set[i] = tlbEntry{}
-				n++
-			}
-		}
-	}
-	t.stats.Invalidations++
-	return n
+	return t.invalidate(func(e *tlbEntry) bool { return e.tag.VMID == vmid })
 }
 
 // InvalidateASID drops all entries for one (VMID, ASID) pair.
 func (t *TLB) InvalidateASID(tag TLBTag) int {
-	n := 0
-	for _, set := range t.data {
-		for i := range set {
-			if set[i].valid && set[i].tag == tag {
-				set[i] = tlbEntry{}
-				n++
-			}
-		}
-	}
-	t.stats.Invalidations++
-	return n
+	return t.invalidate(func(e *tlbEntry) bool { return e.tag == tag })
 }
 
 // InvalidateVA drops the entry for one page in one context (TLBI VAE1).
 func (t *TLB) InvalidateVA(tag TLBTag, addr uint64) bool {
 	vpage := addr >> GranuleShift
-	set := t.data[t.setFor(vpage)]
+	s := t.setFor(vpage)
+	set := t.entries(s)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag && set[i].vpage == vpage {
 			set[i] = tlbEntry{}
+			t.markDirty(s)
+			t.live--
 			t.stats.Invalidations++
 			return true
 		}
@@ -199,12 +214,13 @@ func (t *TLB) InvalidateVA(tag TLBTag, addr uint64) bool {
 // LiveEntries reports the number of valid entries, optionally filtered to
 // one VMID (pass nil for all).
 func (t *TLB) LiveEntries(vmid *uint16) int {
+	if vmid == nil {
+		return t.live
+	}
 	n := 0
-	for _, set := range t.data {
-		for i := range set {
-			if set[i].valid && (vmid == nil || set[i].tag.VMID == *vmid) {
-				n++
-			}
+	for i := range t.data {
+		if t.data[i].valid && t.data[i].tag.VMID == *vmid {
+			n++
 		}
 	}
 	return n

@@ -10,9 +10,14 @@ package mmu
 // The cache is direct-mapped. A lookup is one index and one compare, so
 // it pays off on hot stage-2 paths (TranslateIPA under shared-memory
 // rings and mailboxes) where the same few pages are walked repeatedly.
+//
+// Each entry carries the cache epoch it was filled in; only entries of
+// the current epoch are valid, so Flush is one increment however large
+// the cache is.
 type WalkCache struct {
 	tab     *Table
 	gen     uint64
+	epoch   uint64 // starts at 1, so zeroed entries are never valid
 	mask    uint64
 	entries []walkEntry
 	hits    uint64
@@ -24,7 +29,7 @@ type walkEntry struct {
 	out   uint64 // translated base of the page
 	perm  Perms
 	level int
-	valid bool
+	epoch uint64 // WalkCache.epoch at fill time
 }
 
 // DefaultWalkCacheEntries is the entry count NewWalkCache uses when the
@@ -44,6 +49,7 @@ func NewWalkCache(tab *Table, entries int) *WalkCache {
 	return &WalkCache{
 		tab:     tab,
 		gen:     tab.Gen(),
+		epoch:   1,
 		mask:    uint64(n - 1),
 		entries: make([]walkEntry, n),
 	}
@@ -62,14 +68,14 @@ func (w *WalkCache) Translate(addr uint64) (out uint64, perm Perms, level int, o
 	}
 	page := addr >> GranuleShift
 	e := &w.entries[page&w.mask]
-	if e.valid && e.page == page {
+	if e.epoch == w.epoch && e.page == page {
 		w.hits++
 		return e.out | (addr & (GranuleSize - 1)), e.perm, e.level, true
 	}
 	w.misses++
 	out, perm, level, ok = w.tab.Translate(addr)
 	if ok {
-		*e = walkEntry{page: page, out: out &^ uint64(GranuleSize-1), perm: perm, level: level, valid: true}
+		*e = walkEntry{page: page, out: out &^ uint64(GranuleSize-1), perm: perm, level: level, epoch: w.epoch}
 	}
 	return out, perm, level, ok
 }
@@ -77,11 +83,7 @@ func (w *WalkCache) Translate(addr uint64) (out uint64, perm Perms, level int, o
 // Flush drops every cached entry. Generation checks make explicit flushes
 // unnecessary for correctness; TLB-invalidation paths call it anyway so a
 // crashed VM's translations do not linger in the cache.
-func (w *WalkCache) Flush() {
-	for i := range w.entries {
-		w.entries[i].valid = false
-	}
-}
+func (w *WalkCache) Flush() { w.epoch++ }
 
 // Stats reports cache hits and misses since construction.
 func (w *WalkCache) Stats() (hits, misses uint64) { return w.hits, w.misses }
