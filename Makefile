@@ -39,42 +39,23 @@ lint:
 # obscheck is the observability gate: the metrics snapshot must be
 # deterministic across same-seed runs, the Perfetto trace export must
 # pass schema validation (khsim trace -check exits non-zero otherwise),
-# the cluster failover experiment must hold its properties (bounded
-# failover, converged ledgers) with a byte-identical merged trace
-# artifact across two same-seed runs, and the snapshot/fork contract
-# must hold: forked timelines replay bit-identically (khsim snapshot
-# -check), with the experiment artifact itself byte-identical across
-# two same-seed processes. The live-migration experiment joins the same
-# contract: khsim migrate -check must hold its invariants (one live
-# copy per cell, converged signed ledger, downtime monotone in working
-# set) and two same-seed runs must render byte-identical artifacts.
-# The cluster contract also holds at the 8-node failover scale: two
-# same-seed 8-node runs must write byte-identical artifacts. The
-# ephemeral-VM serving sweep closes the list: khsim serve -check must
-# hold its invariants (end-to-end job flow, fully signed pool ledger,
-# warm fork beating cold boot) and two same-seed sweeps must write
+# and every experiment in the harness registry (khsim list: cluster
+# failover at 3 and 8 nodes, snapshot/fork, live migration, serving)
+# must pass its -check gate twice at the same seed and write
 # byte-identical artifacts.
 obscheck: build
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/khsim metrics -config kitten -bench stream -seed 1 > "$$tmp/a.metrics" && \
-	$(GO) run ./cmd/khsim metrics -config kitten -bench stream -seed 1 > "$$tmp/b.metrics" && \
+	$(GO) build -o "$$tmp/khsim" ./cmd/khsim || exit 1; \
+	"$$tmp/khsim" metrics -config kitten -bench stream -seed 1 > "$$tmp/a.metrics" && \
+	"$$tmp/khsim" metrics -config kitten -bench stream -seed 1 > "$$tmp/b.metrics" && \
 	cmp "$$tmp/a.metrics" "$$tmp/b.metrics" || { echo "obscheck: metrics snapshot not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim trace -config kitten -bench selfish -seconds 0.1 -format perfetto -check -out "$$tmp/trace.json" || exit 1; \
-	$(GO) run ./cmd/khsim cluster -seed 1 -check -artifact "$$tmp/a.cluster" > /dev/null && \
-	$(GO) run ./cmd/khsim cluster -seed 1 -check -artifact "$$tmp/b.cluster" > /dev/null && \
-	cmp "$$tmp/a.cluster" "$$tmp/b.cluster" || { echo "obscheck: cluster failover trace not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim snapshot -seed 1 -check -artifact "$$tmp/a.snap" > /dev/null && \
-	$(GO) run ./cmd/khsim snapshot -seed 1 -check -artifact "$$tmp/b.snap" > /dev/null && \
-	cmp "$$tmp/a.snap" "$$tmp/b.snap" || { echo "obscheck: snapshot fork replay not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim migrate -seed 1 -check -artifact "$$tmp/a.mig" > /dev/null && \
-	$(GO) run ./cmd/khsim migrate -seed 1 -check -artifact "$$tmp/b.mig" > /dev/null && \
-	cmp "$$tmp/a.mig" "$$tmp/b.mig" || { echo "obscheck: migration artifact not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim cluster -seed 1 -nodes 8 -check -artifact "$$tmp/a8.cluster" > /dev/null && \
-	$(GO) run ./cmd/khsim cluster -seed 1 -nodes 8 -check -artifact "$$tmp/b8.cluster" > /dev/null && \
-	cmp "$$tmp/a8.cluster" "$$tmp/b8.cluster" || { echo "obscheck: 8-node cluster failover trace not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim serve -seed 1 -check -artifact "$$tmp/a.serve" > /dev/null && \
-	$(GO) run ./cmd/khsim serve -seed 1 -check -artifact "$$tmp/b.serve" > /dev/null && \
-	cmp "$$tmp/a.serve" "$$tmp/b.serve" || { echo "obscheck: serving artifact not deterministic"; exit 1; }; \
+	"$$tmp/khsim" trace -config kitten -bench selfish -seconds 0.1 -format perfetto -check -out "$$tmp/trace.json" || exit 1; \
+	xs=$$("$$tmp/khsim" list | cut -f1); [ -n "$$xs" ] || { echo "obscheck: khsim list is empty"; exit 1; }; \
+	for x in $$xs; do \
+		"$$tmp/khsim" $$x -seed 1 -check -artifact "$$tmp/a.$$x" > /dev/null && \
+		"$$tmp/khsim" $$x -seed 1 -check -artifact "$$tmp/b.$$x" > /dev/null && \
+		cmp "$$tmp/a.$$x" "$$tmp/b.$$x" || { echo "obscheck: $$x failed its check or its artifact is not deterministic"; exit 1; }; \
+	done; \
 	echo "obscheck: ok"
 
 # check is the full pre-merge gate: build, vet, the test suite under the

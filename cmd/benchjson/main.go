@@ -11,30 +11,21 @@
 //	                 primary: the world-switch + tick + phase mix.
 //	fault-storm-4vm  four VMs (primary + three crashing/restarting
 //	                 victims) under the deterministic fault injector.
-//	cluster-failover the 3-node replicated-attestation failover
-//	                 experiment, measured end to end (no warmup; the
-//	                 whole run including construction is the window).
+//	cluster-failover, migration, serving
+//	                 the registered harness experiments cluster, migrate
+//	                 and serve (harness.Experiments), each run once at
+//	                 seed 7 and measured end to end (no warmup; the whole
+//	                 run including construction is the window; events
+//	                 are the Report's event count). The run must pass
+//	                 its own Check() — which holds the migration downtime
+//	                 budget and the serving warm-before-cold gate, both
+//	                 simulated time and so machine-independent.
 //	snapshot-fork    the whole-node snapshot/fork hot path: "events" are
 //	                 Node.Fork calls (full copy-on-write restores), so
 //	                 ns/event reads as ns/fork. The file also carries a
 //	                 "snapshot-fork" comparison block pinning fork cost
 //	                 against cold stack construction; -check requires
 //	                 the cold boot to stay ≥ 100× a fork.
-//	migration        the live VM migration sweep (3-node cluster, pre-copy
-//	                 + stop-and-copy over the fabric) measured end to end.
-//	                 The file carries a "migration" block with per-cell
-//	                 downtime vs budget (downtime is simulated time, so
-//	                 the budget gate is machine-independent); -check
-//	                 requires every cell to stay under budget.
-//	serving          the multi-tenant ephemeral-VM serving sweep (both
-//	                 primary kernels across every arrival rate), measured
-//	                 end to end. The run itself enforces byte-identical
-//	                 same-seed artifacts; the file carries a "serving"
-//	                 block with the p50/p99/p999 latency-vs-rate table
-//	                 and the warm-vs-cold prepare means. -check requires
-//	                 the warm fork to beat the cold boot (the
-//	                 environment-reuse win; simulated time, so the gate
-//	                 is machine-independent).
 //
 // Reported per scenario: ns/event (wall nanoseconds per simulation event,
 // best of -reps), events/sec, allocs/event (Go heap allocations per event
@@ -67,13 +58,11 @@ import (
 	"sort"
 	"time"
 
-	"khsim/internal/cluster"
 	"khsim/internal/core"
 	"khsim/internal/faults"
 	"khsim/internal/harness"
 	"khsim/internal/kitten"
 	"khsim/internal/noise"
-	"khsim/internal/serve"
 	"khsim/internal/sim"
 	"khsim/internal/workload"
 )
@@ -106,56 +95,6 @@ type ForkResult struct {
 // two orders of magnitude cheaper than building and booting the stack.
 const forkGate = 100
 
-// MigrationCellResult is one live-migration cell's gate numbers: the
-// measured stop-and-copy downtime against its budget. Downtime is pure
-// simulated time — machine-independent — so the budget is a fixed
-// function of the working set (2× the ideal wire time for the dirty set
-// at 1 GB/s, plus 1 ms of handshake slack), and the under-budget bit is
-// a hard determinism-backed gate, not a wall-clock heuristic.
-type MigrationCellResult struct {
-	WorkingSetPages int    `json:"working_set_pages"`
-	Kill            bool   `json:"kill"`
-	DowntimeNs      int64  `json:"downtime_ns"`
-	BudgetNs        int64  `json:"budget_ns"`
-	BytesShipped    uint64 `json:"bytes_shipped"`
-	Rounds          int    `json:"rounds"`
-	Outcome         string `json:"outcome"`
-	UnderBudget     bool   `json:"downtime_under_budget"`
-}
-
-// MigrationResult is the BENCH file's migration block: the downtime-vs-
-// working-set sweep plus the mid-transfer-kill cell.
-type MigrationResult struct {
-	Cells []MigrationCellResult `json:"cells"`
-}
-
-// ServingCellResult is one (primary kernel, arrival rate) cell of the
-// ephemeral-VM serving sweep: admission-to-completion latency
-// percentiles (pure simulated time, machine-independent) and the
-// prepare-path split the reuse gate compares.
-type ServingCellResult struct {
-	Primary        string  `json:"primary"`
-	Rate           float64 `json:"rate_jobs_per_sec"`
-	Completed      int     `json:"completed"`
-	P50US          float64 `json:"p50_us"`
-	P99US          float64 `json:"p99_us"`
-	P999US         float64 `json:"p999_us"`
-	WarmPrepares   int     `json:"warm_prepares"`
-	ColdPrepares   int     `json:"cold_prepares"`
-	MeanWarmPrepUS float64 `json:"mean_warm_prep_us"`
-	MeanColdPrepUS float64 `json:"mean_cold_prep_us"`
-}
-
-// ServingResult is the BENCH file's serving block: the latency-vs-rate
-// table for both primary kernels plus the sweep-wide prepare means the
-// reuse-win gate (-check: warm fork must beat cold boot) compares.
-type ServingResult struct {
-	Cells          []ServingCellResult `json:"cells"`
-	MeanWarmPrepUS float64             `json:"mean_warm_prep_us"`
-	MeanColdPrepUS float64             `json:"mean_cold_prep_us"`
-	WarmOverCold   float64             `json:"cold_prep_over_warm"`
-}
-
 // Baseline is a pinned historical run kept for trajectory comparison.
 type Baseline struct {
 	Label     string                    `json:"label"`
@@ -173,8 +112,6 @@ type File struct {
 	CalibNsPerOp float64                   `json:"calib_ns_per_op,omitempty"`
 	Baseline     *Baseline                 `json:"baseline,omitempty"`
 	Fork         *ForkResult               `json:"snapshot-fork,omitempty"`
-	Migration    *MigrationResult          `json:"migration,omitempty"`
-	Serving      *ServingResult            `json:"serving,omitempty"`
 	Scenarios    map[string]ScenarioResult `json:"scenarios"`
 }
 
@@ -263,19 +200,6 @@ func selfishScenario() (measure, error) {
 	return measureWindow(n.Machine.Engine, n.Run, sim.FromSeconds(8)), nil
 }
 
-const streamManifest = `
-[vm primary]
-class = primary
-vcpus = 4
-memory_mb = 256
-
-[vm job]
-class = secondary
-vcpus = 1
-memory_mb = 512
-working_set_pages = 256
-`
-
 // streamScenario: the STREAM triad model inside a Kitten secondary VM
 // under a Kitten primary — ticks, world switches and sub-millisecond
 // workload phases. PhaseOps is shrunk to 0.5 ms phases so the measured
@@ -287,7 +211,7 @@ func streamScenario() (measure, error) {
 	spec.TotalOps = spec.NativeRate * 60
 	run := workload.New(spec, workload.Env{TwoStage: true, RNG: sim.NewRNG(11)})
 	n, err := core.NewSecureNode(core.Options{
-		Seed: 7, Manifest: streamManifest, Scheduler: core.SchedulerKitten,
+		Seed: 7, Manifest: harness.EvaluationManifest, Scheduler: core.SchedulerKitten,
 	})
 	if err != nil {
 		return measure{}, err
@@ -379,89 +303,40 @@ func stormScenario() (measure, error) {
 	return measureWindow(n.Machine.Engine, n.Run, sim.FromSeconds(6)), nil
 }
 
-// clusterScenario: the 3-node replicated-attestation failover experiment
-// (leader kill, follower partition, heal) measured end to end — three
-// per-node engines multiplexed by global event order, fabric delivery,
-// Raft-lite elections and the manifest fault campaign. The window covers
-// the whole run including construction, so the event count doubles as the
-// cross-node determinism gate: any drift in the merged schedule changes
-// it.
-func clusterScenario() (measure, error) {
-	m, err := cluster.ParseManifest(harness.ClusterManifestText)
-	if err != nil {
-		return measure{}, err
+// experimentScenario measures the registered harness experiment name
+// end to end at seed 7: construction included, the Report's event count
+// as the denominator — and, since every experiment is deterministic, as
+// a cross-node determinism gate: any drift in the schedule changes it.
+// The run must also pass its own Check().
+func experimentScenario(name string) func() (measure, error) {
+	return func() (measure, error) {
+		e, ok := harness.Lookup(name)
+		if !ok {
+			return measure{}, fmt.Errorf("no registered experiment %q", name)
+		}
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		rep, err := e.Run(7)
+		if err != nil {
+			return measure{}, err
+		}
+		wall := time.Since(t0)
+		runtime.ReadMemStats(&m1)
+		if err := rep.Check(); err != nil {
+			return measure{}, err
+		}
+		return measure{events: rep.Events(), allocs: m1.Mallocs - m0.Mallocs, wall: wall}, nil
 	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	r, err := harness.RunClusterManifest(m, 7)
-	if err != nil {
-		return measure{}, err
-	}
-	wall := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	if err := r.Check(); err != nil {
-		return measure{}, fmt.Errorf("failover properties: %w", err)
-	}
-	return measure{
-		events: r.EventsFired,
-		allocs: m1.Mallocs - m0.Mallocs,
-		wall:   wall,
-		simDur: m.Run,
-	}, nil
-}
-
-// forkManifest is the snapshot-fork scenario's partition plan: the
-// benchmark node with the watchdog's warm-restore opt-in, matching the
-// harness snapshot experiments.
-const forkManifest = `
-[vm primary]
-class = primary
-vcpus = 4
-memory_mb = 256
-
-[vm job]
-class = secondary
-vcpus = 1
-memory_mb = 512
-working_set_pages = 256
-restart_policy = restart
-max_restarts = 8
-restart_backoff_us = 500
-restart_from_snapshot = true
-`
-
-// buildForkStack cold-builds and boots the snapshot stack, reporting how
-// long construction took (the fork comparison's baseline).
-func buildForkStack() (*core.SecureNode, time.Duration, error) {
-	t0 := time.Now()
-	n, err := core.NewSecureNode(core.Options{
-		Seed: 7, Manifest: forkManifest, Scheduler: core.SchedulerKitten,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	s := noise.NewSelfish("fork", sim.FromSeconds(30))
-	s.ChunkTime = sim.FromMicros(50)
-	guest := kitten.NewGuest(kitten.DefaultParams())
-	guest.Attach(0, s)
-	n.Machine.RegisterSnapshotter("proc."+s.Name(), s)
-	if err := n.AttachGuest("job", guest); err != nil {
-		return nil, 0, err
-	}
-	if err := n.Boot(); err != nil {
-		return nil, 0, err
-	}
-	return n, time.Since(t0), nil
 }
 
 // forkBlock accumulates the best fork and cold-boot numbers across reps
 // for the File's snapshot-fork comparison block.
 var forkBlock *ForkResult
 
-// forkScenario: the snapshot/fork hot path. Cold-boots the stack a few
-// times (the baseline), warms the survivor to a snapshot point, then
+// forkScenario: the snapshot/fork hot path. Cold-boots the harness
+// snapshot stack a few times (the baseline), warms the survivor to a snapshot point, then
 // repeatedly forks the timeline and runs a short divergence window —
 // timing and alloc-counting only the Fork calls, which are full
 // whole-node restores with copy-on-write stage-2 sharing. Reported as a
@@ -474,14 +349,13 @@ func forkScenario() (measure, error) {
 	coldBest := time.Duration(math.MaxInt64)
 	var n *core.SecureNode
 	for i := 0; i < coldReps; i++ {
-		nn, w, err := buildForkStack()
+		t0 := time.Now()
+		st, err := harness.BuildSnapshotStack(7, sim.FromSeconds(30))
 		if err != nil {
 			return measure{}, err
 		}
-		if w < coldBest {
-			coldBest = w
-		}
-		n = nn
+		coldBest = min(coldBest, time.Since(t0))
+		n = st.Node
 	}
 	n.Run(sim.FromSeconds(0.005)) // warm to the fork point
 	snap := n.Machine.Snapshot()
@@ -516,140 +390,6 @@ func forkScenario() (measure, error) {
 	return measure{events: forks, allocs: mallocs, wall: wall}, nil
 }
 
-// migrationBlock carries the latest migration sweep's gate numbers for
-// the File's migration block (like forkBlock for snapshot-fork).
-var migrationBlock *MigrationResult
-
-// migrationBudgetNs is the downtime budget for one cell. Clean cells
-// get twice the ideal wire time of the working set at the fabric's
-// 1 GB/s (a 4 KiB page is 4096 ns on the wire) plus 1 ms of handshake
-// slack; the kill cell's "downtime" is the pause-to-rollback window,
-// bounded by the fault schedule rather than the working set, so it gets
-// a flat 80 ms — well under the 120 ms cell but far over any clean run.
-func migrationBudgetNs(wsPages int, kill bool) int64 {
-	if kill {
-		return 80_000_000
-	}
-	return 2*int64(wsPages)*4096 + 1_000_000
-}
-
-// migrationScenario: the live-migration sweep (three working-set cells
-// plus the mid-transfer kill cell) measured end to end like the cluster
-// scenario — construction included, event count as the cross-node
-// determinism gate. It also fills the migration gate block: downtime
-// must stay under the per-cell budget, which -check enforces.
-func migrationScenario() (measure, error) {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	rep, err := harness.RunMigrationSuite(7)
-	if err != nil {
-		return measure{}, err
-	}
-	wall := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	if err := rep.Check(); err != nil {
-		return measure{}, fmt.Errorf("migration properties: %w", err)
-	}
-	mb := &MigrationResult{}
-	var events uint64
-	var simDur sim.Duration
-	for i := range rep.Cells {
-		c := &rep.Cells[i]
-		events += c.EventsFired
-		simDur += rep.Run
-		cr := MigrationCellResult{
-			WorkingSetPages: c.WorkingSetPages,
-			Kill:            c.Kill,
-			DowntimeNs:      int64(c.Downtime.Nanos()),
-			BudgetNs:        migrationBudgetNs(c.WorkingSetPages, c.Kill),
-			BytesShipped:    c.Bytes,
-			Rounds:          len(c.Rounds),
-			Outcome:         c.Outcome.String(),
-		}
-		cr.UnderBudget = cr.DowntimeNs <= cr.BudgetNs
-		mb.Cells = append(mb.Cells, cr)
-	}
-	migrationBlock = mb
-	return measure{events: events, allocs: m1.Mallocs - m0.Mallocs, wall: wall, simDur: simDur}, nil
-}
-
-// servingBlock carries the latest serving sweep's latency-vs-rate table
-// and the sweep-wide prepare means the -check reuse-win gate compares.
-var servingBlock *ServingResult
-
-// servingScenario: the ephemeral-VM serving sweep (both primary kernels
-// across every arrival rate, a fresh whole-stack boot per cell) measured
-// end to end. The sweep runs twice with the same seed in this process
-// and the two artifacts must match byte for byte — the obscheck identity
-// enforced in the run itself — before the block records the latency table and the warm-vs-cold
-// prepare means. Latencies and prepare costs are pure simulated time,
-// so the reuse-win gate is machine-independent.
-func servingScenario() (measure, error) {
-	cfg, err := serve.ParseManifest(harness.ServingManifestText)
-	if err != nil {
-		return measure{}, err
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	rep, err := harness.RunServingSweep(7)
-	if err != nil {
-		return measure{}, err
-	}
-	wall := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	rerun, err := harness.RunServingSweep(7)
-	if err != nil {
-		return measure{}, err
-	}
-	if rep.Artifact() != rerun.Artifact() {
-		return measure{}, fmt.Errorf("serving: DETERMINISM: same-seed sweep artifacts differ")
-	}
-	if err := rep.Check(); err != nil {
-		return measure{}, fmt.Errorf("serving properties: %w", err)
-	}
-	sb := &ServingResult{}
-	var events uint64
-	var simDur sim.Duration
-	var warmN, coldN int
-	var warmSum, coldSum float64
-	for _, c := range rep.Cells {
-		events += c.Report.EventsFired
-		simDur += cfg.Run + cfg.Drain
-		s := c.Report.Stats
-		warmN += s.WarmPrepares
-		coldN += s.ColdPrepares
-		warmSum += c.Report.MeanWarmPrepUS * float64(s.WarmPrepares)
-		coldSum += c.Report.MeanColdPrepUS * float64(s.ColdPrepares)
-		sb.Cells = append(sb.Cells, ServingCellResult{
-			Primary:        c.Primary,
-			Rate:           c.Rate,
-			Completed:      s.Completed,
-			P50US:          c.Report.P50,
-			P99US:          c.Report.P99,
-			P999US:         c.Report.P999,
-			WarmPrepares:   s.WarmPrepares,
-			ColdPrepares:   s.ColdPrepares,
-			MeanWarmPrepUS: c.Report.MeanWarmPrepUS,
-			MeanColdPrepUS: c.Report.MeanColdPrepUS,
-		})
-	}
-	if warmN > 0 {
-		sb.MeanWarmPrepUS = warmSum / float64(warmN)
-	}
-	if coldN > 0 {
-		sb.MeanColdPrepUS = coldSum / float64(coldN)
-	}
-	if sb.MeanWarmPrepUS > 0 {
-		sb.WarmOverCold = sb.MeanColdPrepUS / sb.MeanWarmPrepUS
-	}
-	servingBlock = sb
-	return measure{events: events, allocs: m1.Mallocs - m0.Mallocs, wall: wall, simDur: simDur}, nil
-}
-
 var scenarios = []struct {
 	name string
 	run  func() (measure, error)
@@ -657,10 +397,10 @@ var scenarios = []struct {
 	{"selfish", selfishScenario},
 	{"stream", streamScenario},
 	{"fault-storm-4vm", stormScenario},
-	{"cluster-failover", clusterScenario},
+	{"cluster-failover", experimentScenario("cluster")},
 	{"snapshot-fork", forkScenario},
-	{"migration", migrationScenario},
-	{"serving", servingScenario},
+	{"migration", experimentScenario("migrate")},
+	{"serving", experimentScenario("serve")},
 }
 
 // runAll measures every scenario reps times. Recording (median=true)
@@ -783,38 +523,6 @@ func main() {
 					forkBlock.NsPerFork/1e3, forkBlock.NsPerColdBoot/1e3, forkBlock.ColdOverFork, forkGate)
 			}
 		}
-		if ref.Migration != nil {
-			if migrationBlock == nil {
-				fmt.Fprintln(os.Stderr, "benchjson: migration block committed but no migration sweep ran")
-				failed = true
-			} else {
-				over := 0
-				for _, c := range migrationBlock.Cells {
-					if !c.UnderBudget {
-						fmt.Fprintf(os.Stderr, "benchjson: REGRESSION migration ws=%d kill=%v: downtime %.3f ms over budget %.3f ms\n",
-							c.WorkingSetPages, c.Kill, float64(c.DowntimeNs)/1e6, float64(c.BudgetNs)/1e6)
-						failed = true
-						over++
-					}
-				}
-				if over == 0 {
-					fmt.Printf("check migration        ok: %d cells under downtime budget\n", len(migrationBlock.Cells))
-				}
-			}
-		}
-		if ref.Serving != nil {
-			if servingBlock == nil {
-				fmt.Fprintln(os.Stderr, "benchjson: serving block committed but no serving sweep ran")
-				failed = true
-			} else if servingBlock.MeanWarmPrepUS >= servingBlock.MeanColdPrepUS {
-				fmt.Fprintf(os.Stderr, "benchjson: REGRESSION serving: warm fork %.1f µs >= cold boot %.1f µs — the reuse win is gone\n",
-					servingBlock.MeanWarmPrepUS, servingBlock.MeanColdPrepUS)
-				failed = true
-			} else {
-				fmt.Printf("check serving          ok: warm fork %.1f µs vs cold boot %.1f µs (%.1f×) across %d cells\n",
-					servingBlock.MeanWarmPrepUS, servingBlock.MeanColdPrepUS, servingBlock.WarmOverCold, len(servingBlock.Cells))
-			}
-		}
 		if failed {
 			os.Exit(1)
 		}
@@ -827,8 +535,6 @@ func main() {
 			Note:         "wall-clock throughput of the internal/sim discrete-event engine; see EXPERIMENTS.md",
 			CalibNsPerOp: calibrate(),
 			Fork:         forkBlock,
-			Migration:    migrationBlock,
-			Serving:      servingBlock,
 			Scenarios:    results,
 		}
 		if prev, err := readFile(*out); err == nil {

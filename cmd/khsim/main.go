@@ -6,12 +6,11 @@
 //
 //	khsim [-manifest FILE] [-scheduler kitten|linux] [-bench NAME] [-seed S]
 //	khsim faults [-manifest FILE] [-seed S] [-spec RULES] [-seconds N] [-contain]
-//	khsim cluster [-manifest FILE] [-seed S] [-artifact FILE] [-trace] [-check]
 //	khsim metrics [-config native|kitten|linux] [-bench NAME] [-seed S] [-format text|json]
 //	khsim trace [-config native|kitten|linux] [-bench NAME] [-seed S] [-format perfetto|tsv] [-out FILE] [-check]
-//	khsim snapshot [-seed S] [-artifact FILE] [-check] [-sweep [-delays LIST] [-window-ms N]]
-//	khsim migrate [-seed S] [-artifact FILE] [-check]
-//	khsim serve [-manifest FILE] [-seed S] [-artifact FILE] [-check]
+//	khsim list
+//	khsim EXPERIMENT [-seed S] [-artifact FILE] [-check] [-manifest FILE]
+//	khsim snapshot -sweep [-delays LIST] [-window-ms N] [-seed S]
 //
 // With no manifest the paper's evaluation partition plan is used. Bench
 // names: hpcg, stream, randomaccess, nas-lu, nas-bt, nas-cg, nas-ep,
@@ -22,14 +21,6 @@
 // containment counters, and each VM's fate; -contain instead runs the
 // crash-containment experiment (primary noise with vs without faults).
 //
-// The cluster subcommand runs the multi-node failover experiment: N
-// secure-node stacks joined by a simulated fabric, a Raft-lite service
-// replicating the hash-chained attestation ledger across them, and a
-// manifest-scheduled fault campaign (leader kills, partitions, heals,
-// message drops, delay spikes — see manifests/cluster-3node.manifest).
-// -artifact writes the deterministic merged trace; -check exits non-zero
-// unless failover stayed bounded and the ledgers converged.
-//
 // The metrics subcommand runs one benchmark and prints the node's full
 // metrics snapshot (world switches, hypercalls by function, virtual IRQ
 // injections, stage-2 faults, TLB and timer activity, ring doorbells),
@@ -37,30 +28,15 @@
 // subcommand exports the run's event trace as Chrome trace-event JSON
 // loadable in Perfetto (ui.perfetto.dev), or as TSV.
 //
-// The snapshot subcommand demonstrates the whole-stack snapshot/fork
-// contract: it captures a running stack mid-simulation, forks the
-// timeline twice verbatim and once with an injected VM crash, and
-// verifies the verbatim forks replay bit-identically while the faulted
-// one diverges through the watchdog's warm snapshot restore. -sweep
-// instead runs the fork-based sweep: one boot, one warm snapshot, one
-// forked timeline per fault-injection delay.
-//
-// The migrate subcommand runs the live VM migration experiment: a
-// three-node cluster moves a running job VM between nodes with pre-copy
-// rounds over the fabric, a stop-and-copy handoff and a commit
-// handshake, sweeping the VM's working set to measure downtime, plus a
-// fault cell that partitions the target mid-transfer and must leave
-// exactly one live copy (rolled back at the source), with every
-// lifecycle step as a signed record in the replicated attestation
-// ledger.
-//
-// The serve subcommand runs the multi-tenant ephemeral-VM serving sweep:
-// an open-loop job stream admitted through the login VM into a pool of
-// recycled environment VMs (warm stage-2 fork vs cold rebuild), swept
-// across arrival rates under both primary kernels, reporting
-// p50/p99/p999 admission-to-completion latency per rate with every pool
-// transition signed into the attestation ledger (see
-// manifests/serving.manifest).
+// `khsim list` names the checked experiments of the harness registry
+// (harness.Experiments) — cluster failover at 3 and 8 nodes, snapshot/
+// fork determinism, live migration and ephemeral-VM serving — and
+// `khsim NAME` runs one: it prints the report, -artifact writes the
+// byte-comparable artifact, -check exits non-zero unless the
+// experiment's invariants hold, and -manifest (cluster, cluster-8,
+// serve) replaces the built-in manifest. `khsim snapshot -sweep` runs
+// the fork-based fault-delay sweep instead: one boot, one warm
+// snapshot, one forked timeline per delay.
 package main
 
 import (
@@ -68,7 +44,6 @@ import (
 	"fmt"
 	"os"
 
-	"khsim/internal/cluster"
 	"khsim/internal/core"
 	"khsim/internal/faults"
 	"khsim/internal/hafnium"
@@ -79,20 +54,6 @@ import (
 	"khsim/internal/sim"
 	"khsim/internal/workload"
 )
-
-const defaultManifest = `
-# Paper evaluation plan: a scheduling VM plus one benchmark VM.
-[vm primary]
-class = primary
-vcpus = 4
-memory_mb = 256
-
-[vm job]
-class = secondary
-vcpus = 1
-memory_mb = 512
-working_set_pages = 256
-`
 
 // faultsManifest is the faults subcommand's default plan: the victim VM
 // carries a restart budget so injected crashes exercise the watchdog.
@@ -204,65 +165,11 @@ func faultsCmd(args []string) {
 	fmt.Println("isolation: verified")
 }
 
-// clusterCmd implements `khsim cluster`: the multi-node replicated
-// attestation failover experiment.
-func clusterCmd(args []string) {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	manifestPath := fs.String("manifest", "", "cluster manifest file (default: built-in 3-node failover scenario)")
-	seed := fs.Uint64("seed", 1, "simulation seed (same seed, same merged trace)")
-	artifact := fs.String("artifact", "", "write the deterministic merged trace artifact to FILE")
-	showTrace := fs.Bool("trace", false, "print the full merged trace instead of the summary")
-	check := fs.Bool("check", false, "exit non-zero unless the failover properties hold")
-	nodes := fs.Int("nodes", 0, "override the manifest's rack size")
-	fs.Parse(args)
-
-	text := harness.ClusterManifestText
-	if *manifestPath != "" {
-		b, err := os.ReadFile(*manifestPath)
-		if err != nil {
-			fail(err)
-		}
-		text = string(b)
-	}
-	m, err := cluster.ParseManifest(text)
-	if err != nil {
-		fail(err)
-	}
-	if *nodes < 0 {
-		fail(fmt.Errorf("khsim cluster: -nodes must be positive, got %d", *nodes))
-	}
-	if *nodes > 0 {
-		m.Nodes = *nodes
-	}
-	r, err := harness.RunClusterManifest(m, *seed)
-	if err != nil {
-		fail(err)
-	}
-	if *artifact != "" {
-		if err := os.WriteFile(*artifact, []byte(r.Artifact()), 0o644); err != nil {
-			fail(err)
-		}
-	}
-	if *showTrace {
-		fmt.Print(r.Artifact())
-	} else {
-		fmt.Print(r.String())
-	}
-	if *check {
-		if err := r.Check(); err != nil {
-			fail(err)
-		}
-	}
-}
-
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "faults":
 			faultsCmd(os.Args[2:])
-			return
-		case "cluster":
-			clusterCmd(os.Args[2:])
 			return
 		case "metrics":
 			metricsCmd(os.Args[2:])
@@ -270,14 +177,12 @@ func main() {
 		case "trace":
 			traceCmd(os.Args[2:])
 			return
-		case "snapshot":
-			snapshotCmd(os.Args[2:])
+		case "list":
+			listCmd()
 			return
-		case "migrate":
-			migrateCmd(os.Args[2:])
-			return
-		case "serve":
-			serveCmd(os.Args[2:])
+		}
+		if e, ok := harness.Lookup(os.Args[1]); ok {
+			experimentCmd(e, os.Args[2:])
 			return
 		}
 	}
@@ -287,7 +192,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	manifest := defaultManifest
+	manifest := harness.EvaluationManifest
 	if *manifestPath != "" {
 		b, err := os.ReadFile(*manifestPath)
 		if err != nil {

@@ -1,14 +1,21 @@
 package cluster
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"khsim/internal/hafnium"
+	"khsim/internal/sim"
 )
 
 // FuzzParseManifest feeds operator-supplied manifest text to the parser:
-// malformed input must come back as an error, never a panic. The seed
-// corpus is every shipped manifest.
+// malformed input must come back as an error, never a panic, and an
+// accepted manifest must be in range: every duration positive (zero
+// where the key is optional), every float finite and positive, and the
+// node plan a valid Hafnium manifest. The seed corpus is every shipped
+// manifest.
 func FuzzParseManifest(f *testing.F) {
 	paths, err := filepath.Glob("../../manifests/*.manifest")
 	if err != nil || len(paths) == 0 {
@@ -23,8 +30,28 @@ func FuzzParseManifest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		m, err := ParseManifest(text)
-		if err == nil && m == nil {
+		if err != nil {
+			return
+		}
+		if m == nil {
 			t.Fatal("ParseManifest returned neither a manifest nor an error")
+		}
+		p := m.Protocol
+		for _, d := range []sim.Duration{m.Link.Latency, p.ElectionMin, p.ElectionJitter, p.Heartbeat, p.RPCTimeout, m.Run, m.ProposeEvery} {
+			if d <= 0 {
+				t.Fatalf("accepted non-positive duration %v in %+v", d, m)
+			}
+		}
+		if bw := m.Link.Bandwidth; !(bw > 0) || math.IsInf(bw, 0) || m.SpinChunk < 0 {
+			t.Fatalf("accepted bandwidth %v spin chunk %v", bw, m.SpinChunk)
+		}
+		for _, f := range m.Faults {
+			if f.At <= 0 || f.Extra < 0 || f.Window < 0 || f.Count < 0 {
+				t.Fatalf("accepted out-of-range fault %+v", f)
+			}
+		}
+		if _, err := hafnium.ParseManifest(m.NodePlan); err != nil {
+			t.Fatalf("accepted a node plan hafnium rejects: %v", err)
 		}
 	})
 }

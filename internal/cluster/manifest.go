@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
+	"khsim/internal/hafnium"
 	"khsim/internal/net"
 	"khsim/internal/sim"
 )
@@ -73,7 +72,8 @@ var manifestFaultKinds = map[string]bool{
 //	at_ms = 500
 //
 // Comments start with '#'. The [vm ...] sections pass through verbatim
-// to hafnium.ParseManifest on every node.
+// (hafnium.PlanText) to hafnium.ParseManifest on every node, and must
+// parse as a node plan here already.
 func ParseManifest(text string) (*ClusterManifest, error) {
 	m := &ClusterManifest{
 		Nodes:        3,
@@ -83,71 +83,43 @@ func ParseManifest(text string) (*ClusterManifest, error) {
 		Run:          sim.FromSeconds(1.5),
 		ProposeEvery: sim.FromMicros(10000),
 	}
-	var plan strings.Builder
-	section := "" // "", "cluster", "vm", or "fault"
-	var fault *ManifestFault
-	flushFault := func() {
-		if fault != nil {
-			m.Faults = append(m.Faults, *fault)
-			fault = nil
+	var plan hafnium.PlanText
+	section := "" // "", "cluster" or "fault"
+	err := hafnium.ScanManifest(text, "cluster", func(l *hafnium.ManifestLine) error {
+		if plan.Take(l) {
+			return nil
 		}
-	}
-	for ln, raw := range strings.Split(text, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("cluster: manifest line %d: unterminated section", ln+1)
-			}
-			flushFault()
-			parts := strings.Fields(strings.Trim(line, "[]"))
+		if l.Header != "" {
 			switch {
-			case len(parts) == 1 && parts[0] == "cluster":
+			case l.Kind == "cluster" && l.Name == "":
 				section = "cluster"
-			case len(parts) == 2 && parts[0] == "vm":
-				section = "vm"
-				fmt.Fprintf(&plan, "\n%s\n", line)
-			case len(parts) == 2 && parts[0] == "fault":
-				if !manifestFaultKinds[parts[1]] {
-					return nil, fmt.Errorf("cluster: manifest line %d: unknown fault kind %q", ln+1, parts[1])
-				}
+			case l.Kind == "fault" && manifestFaultKinds[l.Name]:
 				section = "fault"
-				fault = &ManifestFault{Kind: parts[1]}
+				m.Faults = append(m.Faults, ManifestFault{Kind: l.Name})
+			case l.Kind == "fault":
+				return fmt.Errorf("unknown fault kind %q", l.Name)
 			default:
-				return nil, fmt.Errorf("cluster: manifest line %d: expected [cluster], [vm <name>] or [fault <kind>]", ln+1)
+				return fmt.Errorf("expected [cluster], [vm <name>] or [fault <kind>]")
 			}
-			continue
+			return nil
 		}
-		key, val, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("cluster: manifest line %d: expected key = value", ln+1)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		switch section {
-		case "vm":
-			fmt.Fprintf(&plan, "%s = %s\n", key, val)
 		case "cluster":
-			if err := m.clusterKey(key, val); err != nil {
-				return nil, fmt.Errorf("cluster: manifest line %d: %w", ln+1, err)
-			}
+			return m.clusterKey(l)
 		case "fault":
-			if err := faultKey(fault, key, val); err != nil {
-				return nil, fmt.Errorf("cluster: manifest line %d: %w", ln+1, err)
-			}
-		default:
-			return nil, fmt.Errorf("cluster: manifest line %d: key %q outside any section", ln+1, key)
+			return faultKey(&m.Faults[len(m.Faults)-1], l)
 		}
+		return fmt.Errorf("key %q outside any section", l.Key)
+	})
+	if err != nil {
+		return nil, err
 	}
-	flushFault()
 	m.NodePlan = plan.String()
 	if m.NodePlan == "" {
 		return nil, fmt.Errorf("cluster: manifest has no [vm ...] sections")
+	}
+	if _, err := hafnium.ParseManifest(m.NodePlan); err != nil {
+		return nil, fmt.Errorf("cluster: node plan: %w", err)
 	}
 	if m.Nodes < 2 {
 		return nil, fmt.Errorf("cluster: manifest needs at least 2 nodes, got %d", m.Nodes)
@@ -163,113 +135,57 @@ func ParseManifest(text string) (*ClusterManifest, error) {
 	return m, nil
 }
 
-func (m *ClusterManifest) clusterKey(key, val string) error {
-	num := func() (float64, error) {
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("%s: want a positive number, got %q", key, val)
-		}
-		return v, nil
-	}
-	switch key {
+func (m *ClusterManifest) clusterKey(l *hafnium.ManifestLine) error {
+	var err error
+	switch l.Key {
 	case "nodes":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("nodes: %v", err)
-		}
-		m.Nodes = n
+		m.Nodes, err = l.Int()
 	case "link_latency_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.Link.Latency = sim.FromMicros(v)
+		m.Link.Latency, err = l.Duration(sim.Microsecond)
 	case "link_bandwidth_mbps":
-		v, err := num()
-		if err != nil {
-			return err
-		}
+		var v float64
+		v, err = l.Number()
 		m.Link.Bandwidth = v * 1e6
 	case "election_timeout_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.Protocol.ElectionMin = sim.FromMicros(v)
+		m.Protocol.ElectionMin, err = l.Duration(sim.Microsecond)
 	case "election_jitter_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.Protocol.ElectionJitter = sim.FromMicros(v)
+		m.Protocol.ElectionJitter, err = l.Duration(sim.Microsecond)
 	case "heartbeat_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.Protocol.Heartbeat = sim.FromMicros(v)
+		m.Protocol.Heartbeat, err = l.Duration(sim.Microsecond)
 	case "rpc_timeout_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.Protocol.RPCTimeout = sim.FromMicros(v)
+		m.Protocol.RPCTimeout, err = l.Duration(sim.Microsecond)
 	case "replica_vm":
-		m.ReplicaVM = val
+		m.ReplicaVM = l.Val
 	case "run_ms":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.Run = sim.FromMicros(v * 1000)
+		m.Run, err = l.Duration(sim.Millisecond)
 	case "propose_interval_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.ProposeEvery = sim.FromMicros(v)
+		m.ProposeEvery, err = l.Duration(sim.Microsecond)
 	case "spin_chunk_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		m.SpinChunk = sim.FromMicros(v)
+		m.SpinChunk, err = l.Duration(sim.Microsecond)
 	default:
-		return fmt.Errorf("unknown [cluster] key %q", key)
+		err = fmt.Errorf("unknown [cluster] key %q", l.Key)
 	}
-	return nil
+	return err
 }
 
-func faultKey(f *ManifestFault, key, val string) error {
-	switch key {
+func faultKey(f *ManifestFault, l *hafnium.ManifestLine) error {
+	var err error
+	switch l.Key {
 	case "target":
-		f.Target = val
+		f.Target = l.Val
 	case "at_ms":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("at_ms: want a positive number, got %q", val)
-		}
-		f.At = sim.FromMicros(v * 1000)
+		f.At, err = l.Duration(sim.Millisecond)
 	case "count":
-		n, err := strconv.Atoi(val)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("count: want a positive integer, got %q", val)
+		f.Count, err = l.Int()
+		if err == nil && f.Count == 0 {
+			err = fmt.Errorf("count: want a positive integer, got %q", l.Val)
 		}
-		f.Count = n
 	case "extra_us":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("extra_us: want a positive number, got %q", val)
-		}
-		f.Extra = sim.FromMicros(v)
+		f.Extra, err = l.Duration(sim.Microsecond)
 	case "window_ms":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("window_ms: want a positive number, got %q", val)
-		}
-		f.Window = sim.FromMicros(v * 1000)
+		f.Window, err = l.Duration(sim.Millisecond)
 	default:
-		return fmt.Errorf("unknown [fault] key %q", key)
+		err = fmt.Errorf("unknown [fault] key %q", l.Key)
 	}
-	return nil
+	return err
 }

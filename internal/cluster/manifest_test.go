@@ -97,3 +97,32 @@ func TestParseManifestRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestParseManifestRejectsBadNumbers feeds every numeric key NaN, ±Inf,
+// 1e300, a negative and trailing garbage. Each must be rejected with an
+// error naming the line and the key — NaN durations used to parse, and
+// Inf or 1e300 overflowed the simulated clock.
+func TestParseManifestRejectsBadNumbers(t *testing.T) {
+	const plan = "[vm primary]\nclass = primary\n"
+	keys := map[string]string{ // key -> section header
+		"nodes": "[cluster]", "link_latency_us": "[cluster]", "link_bandwidth_mbps": "[cluster]",
+		"election_timeout_us": "[cluster]", "election_jitter_us": "[cluster]", "heartbeat_us": "[cluster]",
+		"rpc_timeout_us": "[cluster]", "run_ms": "[cluster]", "propose_interval_us": "[cluster]",
+		"spin_chunk_us": "[cluster]",
+		"at_ms":         "[fault crash]", "count": "[fault netdrop]", "extra_us": "[fault netdelay]",
+		"window_ms": "[fault netdelay]",
+	}
+	for key, header := range keys {
+		for _, val := range []string{"NaN", "Inf", "+Inf", "-Inf", "1e300", "-5", "5x", "0x"} {
+			text := plan + header + "\n" + key + " = " + val + "\n"
+			_, err := ParseManifest(text)
+			if err == nil {
+				t.Errorf("%s = %s accepted", key, val)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "line 4") || !strings.Contains(msg, key) {
+				t.Errorf("%s = %s: error does not name line 4 and the key: %v", key, val, err)
+			}
+		}
+	}
+}

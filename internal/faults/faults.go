@@ -629,7 +629,10 @@ func ParseSpec(spec string) ([]Rule, error) {
 			r.Target = strings.TrimSpace(parts[1])
 		}
 		if len(parts) > 2 {
-			d, err := parseDuration(strings.TrimSpace(parts[2]))
+			d, err := sim.ParseDuration(strings.TrimSpace(parts[2]))
+			if err == nil && d <= 0 {
+				err = fmt.Errorf("non-positive duration %q", parts[2])
+			}
 			if err != nil {
 				return nil, fmt.Errorf("faults: entry %q: %w", entry, err)
 			}
@@ -644,30 +647,4 @@ func ParseSpec(spec string) ([]Rule, error) {
 		return nil, fmt.Errorf("faults: empty fault spec")
 	}
 	return rules, nil
-}
-
-// parseDuration reads a duration with an ns/us/ms/s suffix.
-func parseDuration(s string) (sim.Duration, error) {
-	units := []struct {
-		suffix string
-		scale  func(float64) sim.Duration
-	}{
-		{"ns", sim.FromNanos},
-		{"us", sim.FromMicros},
-		{"ms", func(v float64) sim.Duration { return sim.FromMicros(v * 1000) }},
-		{"s", sim.FromSeconds},
-	}
-	for _, u := range units {
-		if strings.HasSuffix(s, u.suffix) {
-			var v float64
-			if _, err := fmt.Sscanf(strings.TrimSuffix(s, u.suffix), "%g", &v); err != nil {
-				return 0, fmt.Errorf("bad duration %q", s)
-			}
-			if v <= 0 {
-				return 0, fmt.Errorf("non-positive duration %q", s)
-			}
-			return u.scale(v), nil
-		}
-	}
-	return 0, fmt.Errorf("duration %q needs an ns/us/ms/s suffix", s)
 }

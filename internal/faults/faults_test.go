@@ -215,6 +215,17 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsBadDurations: the mean must parse as a whole,
+// finite number that fits the simulated clock. NaNms used to parse to
+// a MinInt64 mean and 1xms to 1 ms.
+func TestParseSpecRejectsBadDurations(t *testing.T) {
+	for _, d := range []string{"NaNms", "infs", "-infus", "1xms", "1e300s", "0s", "-1ms", "1e-9ns", "ms"} {
+		if _, err := faults.ParseSpec("crash:job:" + d); err == nil {
+			t.Errorf("mean %q accepted", d)
+		}
+	}
+}
+
 // TestKindStrings: every kind round-trips through its name.
 func TestKindStrings(t *testing.T) {
 	for _, k := range []faults.Kind{

@@ -3,7 +3,6 @@ package hafnium
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -107,8 +106,8 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// ParseManifest reads the small text format used by cmd/khsim, modelled
-// on Hafnium's device-tree manifest:
+// ParseManifest reads the small text format every khsim manifest is
+// written in, modelled on Hafnium's device-tree manifest:
 //
 //	routing = via-primary        # or: selective
 //	tlb = vmid-tagged            # or: flush-all
@@ -127,149 +126,77 @@ func (m *Manifest) Validate() error {
 // Comments start with '#'; blank lines are ignored.
 func ParseManifest(text string) (*Manifest, error) {
 	m := &Manifest{}
-	var cur *VMSpec
-	flush := func() {
-		if cur != nil {
-			m.VMs = append(m.VMs, *cur)
-			cur = nil
+	err := ScanManifest(text, "hafnium", func(l *ManifestLine) error {
+		if l.Header != "" {
+			if l.Kind != "vm" || l.Name == "" {
+				return fmt.Errorf("expected [vm <name>]")
+			}
+			m.VMs = append(m.VMs, VMSpec{Name: l.Name, VCPUs: 1, MemMB: 64})
+			return nil
 		}
+		if len(m.VMs) == 0 {
+			return m.globalKey(l)
+		}
+		return m.VMs[len(m.VMs)-1].setKey(l)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for ln, raw := range strings.Split(text, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("hafnium: manifest line %d: unterminated section", ln+1)
-			}
-			parts := strings.Fields(strings.Trim(line, "[]"))
-			if len(parts) != 2 || parts[0] != "vm" {
-				return nil, fmt.Errorf("hafnium: manifest line %d: expected [vm <name>]", ln+1)
-			}
-			flush()
-			cur = &VMSpec{Name: parts[1], VCPUs: 1, MemMB: 64}
-			continue
-		}
-		key, val, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("hafnium: manifest line %d: expected key = value", ln+1)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		if cur == nil {
-			switch key {
-			case "routing":
-				switch val {
-				case "via-primary":
-					m.Routing = RouteViaPrimary
-				case "selective":
-					m.Routing = RouteSelective
-				default:
-					return nil, fmt.Errorf("hafnium: manifest line %d: unknown routing %q", ln+1, val)
-				}
-			case "tlb":
-				switch val {
-				case "vmid-tagged":
-					m.TLB = TLBVMIDTagged
-				case "flush-all":
-					m.TLB = TLBFlushAll
-				default:
-					return nil, fmt.Errorf("hafnium: manifest line %d: unknown tlb policy %q", ln+1, val)
-				}
-			default:
-				return nil, fmt.Errorf("hafnium: manifest line %d: unknown global key %q", ln+1, key)
-			}
-			continue
-		}
-		switch key {
-		case "class":
-			switch val {
-			case "primary":
-				cur.Class = Primary
-			case "super-secondary":
-				cur.Class = SuperSecondary
-			case "secondary":
-				cur.Class = Secondary
-			default:
-				return nil, fmt.Errorf("hafnium: manifest line %d: unknown class %q", ln+1, val)
-			}
-		case "vcpus":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: vcpus: %v", ln+1, err)
-			}
-			cur.VCPUs = n
-		case "memory_mb":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: memory_mb: %v", ln+1, err)
-			}
-			cur.MemMB = n
-		case "working_set_pages":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: working_set_pages: %v", ln+1, err)
-			}
-			cur.WorkingSetPages = n
-		case "secure":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: secure: %v", ln+1, err)
-			}
-			cur.Secure = b
-		case "restart_policy":
-			switch val {
-			case "none":
-				cur.Restart = RestartNever
-			case "restart":
-				cur.Restart = RestartAlways
-			default:
-				return nil, fmt.Errorf("hafnium: manifest line %d: unknown restart_policy %q", ln+1, val)
-			}
-		case "max_restarts":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: max_restarts: %v", ln+1, err)
-			}
-			cur.MaxRestarts = n
-		case "quarantine":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: quarantine: %v", ln+1, err)
-			}
-			cur.Quarantine = b
-		case "restart_backoff_us":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: restart_backoff_us: %v", ln+1, err)
-			}
-			cur.RestartBackoffUS = n
-		case "restart_from_snapshot":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: restart_from_snapshot: %v", ln+1, err)
-			}
-			cur.RestartFromSnapshot = b
-		case "standby":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return nil, fmt.Errorf("hafnium: manifest line %d: standby: %v", ln+1, err)
-			}
-			cur.Standby = b
-		default:
-			return nil, fmt.Errorf("hafnium: manifest line %d: unknown VM key %q", ln+1, key)
-		}
-	}
-	flush()
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// globalKey applies one key that precedes every [vm] section.
+func (m *Manifest) globalKey(l *ManifestLine) error {
+	switch l.Key {
+	case "routing":
+		i, err := l.Enum("via-primary", "selective")
+		m.Routing = IRQRouting(i)
+		return err
+	case "tlb":
+		i, err := l.Enum("vmid-tagged", "flush-all")
+		m.TLB = TLBPolicy(i)
+		return err
+	}
+	return fmt.Errorf("unknown global key %q", l.Key)
+}
+
+// setKey applies one key of the VM's [vm] section.
+func (v *VMSpec) setKey(l *ManifestLine) error {
+	var err error
+	switch l.Key {
+	case "class":
+		var i int
+		i, err = l.Enum("primary", "super-secondary", "secondary")
+		v.Class = Class(i)
+	case "vcpus":
+		v.VCPUs, err = l.Int()
+	case "memory_mb":
+		v.MemMB, err = l.Int()
+	case "working_set_pages":
+		v.WorkingSetPages, err = l.Int()
+	case "secure":
+		v.Secure, err = l.Bool()
+	case "restart_policy":
+		var i int
+		i, err = l.Enum("none", "restart")
+		v.Restart = RestartPolicy(i)
+	case "max_restarts":
+		v.MaxRestarts, err = l.Int()
+	case "quarantine":
+		v.Quarantine, err = l.Bool()
+	case "restart_backoff_us":
+		v.RestartBackoffUS, err = l.Int()
+	case "restart_from_snapshot":
+		v.RestartFromSnapshot, err = l.Bool()
+	case "standby":
+		v.Standby, err = l.Bool()
+	default:
+		err = fmt.Errorf("unknown VM key %q", l.Key)
+	}
+	return err
 }
 
 // Format renders the manifest back to the text format, with VMs in

@@ -178,3 +178,49 @@ func TestShippedManifestsParse(t *testing.T) {
 		}
 	}
 }
+
+// TestParseManifestRejectsBadNumbers feeds every numeric VM key the
+// values a float parser would let through — NaN, ±Inf, 1e300 — plus a
+// negative and trailing garbage; each must be rejected with an error
+// naming the line and the key.
+func TestParseManifestRejectsBadNumbers(t *testing.T) {
+	for _, key := range []string{"vcpus", "memory_mb", "working_set_pages", "max_restarts", "restart_backoff_us"} {
+		for _, val := range []string{"NaN", "Inf", "-Inf", "1e300", "-1", "4x", "99999999999999999999"} {
+			text := "[vm p]\nclass = primary\n[vm a]\nclass = secondary\nrestart_policy = restart\n" + key + " = " + val + "\n"
+			_, err := ParseManifest(text)
+			if err == nil {
+				t.Errorf("%s = %s accepted", key, val)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "line 6") || !strings.Contains(msg, key) {
+				t.Errorf("%s = %s: error does not name line 6 and the key: %v", key, val, err)
+			}
+		}
+	}
+}
+
+// TestShippedNodePlansParse: every manifests/ file's node plan — the
+// whole file, or the [vm] sections a cluster or serving manifest embeds
+// — parses as a Hafnium manifest.
+func TestShippedNodePlansParse(t *testing.T) {
+	files, err := filepath.Glob("../../manifests/*.manifest")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no shipped manifests found: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plan PlanText
+		if err := ScanManifest(string(b), "test", func(l *ManifestLine) error {
+			plan.Take(l)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if _, err := ParseManifest(plan.String()); err != nil {
+			t.Errorf("%s: node plan: %v", f, err)
+		}
+	}
+}

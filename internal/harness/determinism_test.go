@@ -3,74 +3,50 @@ package harness
 import (
 	"strings"
 	"testing"
-
-	"khsim/internal/cluster"
 )
 
-// TestClusterSameSeedIdentity is the cluster determinism contract: two
-// runs of the same seed produce byte-identical artifacts and both hold
-// the failover properties — at the shipped 3-node size, at the 8-node
-// failover scale, and with the dense chunked spin that keeps every node
-// busy.
-func TestClusterSameSeedIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		nodes int
-		dense bool
-	}{
-		{"3node", 3, false},
-		{"8node", 8, false},
-		{"8node-dense", 8, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			text := ClusterManifestText
-			if tc.dense {
-				text = strings.Replace(text, "run_ms = 400", "run_ms = 400\nspin_chunk_us = 40", 1)
-			}
-			m, err := cluster.ParseManifest(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Nodes = tc.nodes
-			a, err := RunClusterManifest(m, 42)
+// TestExperimentSameSeedIdentity is the determinism contract of every
+// registered experiment: two runs of seed 42 both pass Check() and
+// render byte-identical artifacts with equal event counts. The extra
+// cluster-8-dense case chunks every replica's spin so each node stays
+// busy — the stress case for the cluster multiplexer. Seed 42's
+// migration kill cell signs its migrate-abort record while node 0 is
+// mid-election; the record must still reach the replicated ledger.
+func TestExperimentSameSeedIdentity(t *testing.T) {
+	exps := append([]Experiment(nil), Experiments...)
+	dense, _ := Lookup("cluster-8")
+	dense.Name = "cluster-8-dense"
+	dense.Manifest = strings.Replace(dense.Manifest, "run_ms = 400", "run_ms = 400\nspin_chunk_us = 40", 1)
+	exps = append(exps, dense)
+	for _, e := range exps {
+		t.Run(e.Name, func(t *testing.T) {
+			a, err := e.Run(42)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := a.Check(); err != nil {
 				t.Fatalf("run failed invariants: %v", err)
 			}
-			b, err := RunClusterManifest(m, 42)
+			b, err := e.Run(42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.EventsFired != b.EventsFired {
-				t.Fatalf("event counts diverge: %d then %d", a.EventsFired, b.EventsFired)
+			if a.Events() != b.Events() {
+				t.Fatalf("event counts diverge: %d then %d", a.Events(), b.Events())
 			}
 			if a.Artifact() != b.Artifact() {
-				t.Fatalf("artifacts diverge across same-seed runs (%d events)", a.EventsFired)
+				t.Fatalf("artifacts diverge across same-seed runs (%d events)", a.Events())
 			}
 		})
 	}
 }
 
-// TestMigrationSuiteSameSeedIdentity runs the live-migration suite twice
-// at seed 42 and requires byte-identical artifacts that hold the suite's
-// invariants. Seed 42's kill cell signs its migrate-abort record while
-// node 0 is mid-election; the record must still reach the replicated
-// ledger.
-func TestMigrationSuiteSameSeedIdentity(t *testing.T) {
-	a, err := RunMigrationSuite(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Check(); err != nil {
-		t.Fatalf("migration suite failed invariants: %v", err)
-	}
-	b, err := RunMigrationSuite(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Artifact() != b.Artifact() {
-		t.Fatal("migration suite artifacts diverge across same-seed runs")
+// TestCluster8Manifest: cluster-8 is the built-in scenario with its
+// node count rewritten, so a reworded nodes line must not silently
+// leave it at 3 nodes.
+func TestCluster8Manifest(t *testing.T) {
+	e, _ := Lookup("cluster-8")
+	if !strings.Contains(e.Manifest, "\nnodes = 8\n") {
+		t.Fatal("cluster-8 manifest does not set 8 nodes")
 	}
 }

@@ -198,7 +198,7 @@ func RunWorkloadGuest(cfg Config, guest GuestKernel, spec workload.Spec, seed ui
 		sched = core.SchedulerLinux
 	}
 	n, err := core.NewSecureNode(core.Options{
-		Seed: seed, Manifest: vmManifest, Scheduler: sched,
+		Seed: seed, Manifest: EvaluationManifest, Scheduler: sched,
 	})
 	if err != nil {
 		return workload.Result{}, err
@@ -251,7 +251,7 @@ func RunDeviceNoise(cfg Config, spec workload.Spec, irqRate sim.Hertz, seed uint
 		sched = core.SchedulerLinux
 	}
 	n, err := core.NewSecureNode(core.Options{
-		Seed: seed, Manifest: vmManifest, Scheduler: sched,
+		Seed: seed, Manifest: EvaluationManifest, Scheduler: sched,
 	})
 	if err != nil {
 		return DeviceNoiseResult{}, err

@@ -185,6 +185,9 @@ func (r *FailoverReport) Artifact() string {
 	return b.String()
 }
 
+// Events reports the simulation events the run fired across all nodes.
+func (r *FailoverReport) Events() uint64 { return r.EventsFired }
+
 // Summary renders the outcome block.
 func (r *FailoverReport) Summary() string {
 	var b strings.Builder

@@ -52,10 +52,11 @@ func (c Config) String() string {
 // nested translation.
 func (c Config) TwoStage() bool { return c != Native }
 
-// vmManifest is the partition plan for the virtualized configurations:
-// a 4-VCPU primary plus one single-VCPU job VM sized like the paper's
-// benchmark environment.
-const vmManifest = `
+// EvaluationManifest is the paper's evaluation partition plan (§V), used
+// by the virtualized configurations: a 4-VCPU primary plus one
+// single-VCPU job VM sized like the paper's benchmark environment. The
+// same plan ships as manifests/evaluation.manifest.
+const EvaluationManifest = `
 [vm primary]
 class = primary
 vcpus = 4
@@ -127,7 +128,7 @@ func runProcessNodeOpt(cfg Config, seed uint64, proc osapi.Process, finished fun
 		}
 		n, err := core.NewSecureNode(core.Options{
 			Seed:      seed,
-			Manifest:  vmManifest,
+			Manifest:  EvaluationManifest,
 			Scheduler: sched,
 		})
 		if err != nil {

@@ -1,14 +1,50 @@
 package harness
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"khsim/internal/hafnium"
 	"khsim/internal/noise"
 	"khsim/internal/sim"
 	"khsim/internal/stats"
 	"khsim/internal/workload"
 )
+
+// TestShippedEvaluationManifest keeps manifests/evaluation.manifest in
+// sync with EvaluationManifest, and snapManifest one restart policy
+// away from it.
+func TestShippedEvaluationManifest(t *testing.T) {
+	b, err := os.ReadFile("../../manifests/evaluation.manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := hafnium.ParseManifest(string(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtin, err := hafnium.ParseManifest(EvaluationManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shipped, builtin) {
+		t.Fatalf("shipped evaluation manifest drifted from the built-in plan:\n%+v\n%+v", shipped, builtin)
+	}
+	snap, err := hafnium.ParseManifest(snapManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &snap.VMs[1]
+	if job.Name != "job" || job.Restart != hafnium.RestartAlways || !job.RestartFromSnapshot {
+		t.Fatalf("snapshot plan's job VM = %+v", *job)
+	}
+	job.Restart, job.MaxRestarts, job.RestartBackoffUS, job.RestartFromSnapshot = hafnium.RestartNever, 0, 0, false
+	if !reflect.DeepEqual(snap, builtin) {
+		t.Fatalf("snapshot plan is more than the evaluation plan plus a restart policy: %+v", snap)
+	}
+}
 
 func TestConfigStrings(t *testing.T) {
 	if Native.String() != "native" || KittenVM.String() != "kitten" || LinuxVM.String() != "linux" {

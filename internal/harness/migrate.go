@@ -78,6 +78,20 @@ type MigrationReport struct {
 	SigFailed   uint64
 }
 
+// DowntimeBudget is a cell's stop-and-copy downtime budget. Clean cells
+// get twice the ideal wire time of the working set at the fabric's
+// 1 GB/s (a 4 KiB page is 4096 ns on the wire) plus 1 ms of handshake
+// slack; the kill cell's "downtime" is the pause-to-rollback window,
+// bounded by the fault schedule rather than the working set, so it gets
+// a flat 80 ms — well under the 120 ms cell but far over any clean run.
+// Downtime is simulated time, so the budget is a deterministic gate.
+func DowntimeBudget(wsPages int, kill bool) sim.Duration {
+	if kill {
+		return 80 * sim.Millisecond
+	}
+	return sim.Duration(2*wsPages*4096)*sim.Nanosecond + sim.Millisecond
+}
+
 // Check enforces the experiment's headline properties.
 func (r *MigrationReport) Check() error {
 	if r.SigFailed > 0 {
@@ -99,6 +113,9 @@ func (r *MigrationReport) Check() error {
 		}
 		if len(c.ChainErrs) > 0 {
 			return fmt.Errorf("migration: %s: %s", name, strings.Join(c.ChainErrs, "; "))
+		}
+		if budget := DowntimeBudget(c.WorkingSetPages, c.Kill); c.Downtime > budget {
+			return fmt.Errorf("migration: %s: downtime %v over budget %v", name, c.Downtime, budget)
 		}
 		if c.Kill {
 			// The fault cell must resolve — either way — with the single
@@ -164,6 +181,15 @@ func (r *MigrationReport) Artifact() string {
 	return b.String()
 }
 
+// Events reports the simulation events fired across every cell.
+func (r *MigrationReport) Events() uint64 {
+	var n uint64
+	for i := range r.Cells {
+		n += r.Cells[i].EventsFired
+	}
+	return n
+}
+
 func (r *MigrationReport) cellSummary(c *MigrationCell) string {
 	var b strings.Builder
 	for _, rd := range c.Rounds {
@@ -203,7 +229,7 @@ func (r *MigrationReport) String() string {
 	if err := r.Check(); err != nil {
 		fmt.Fprintf(&b, "FAILED: %v\n", err)
 	} else {
-		fmt.Fprintf(&b, "ok: downtime monotone in working set, one live copy per cell, signed ledger converged\n")
+		fmt.Fprintf(&b, "ok: downtime within budget and monotone in working set, one live copy per cell, signed ledger converged\n")
 	}
 	return b.String()
 }

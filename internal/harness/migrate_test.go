@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"khsim/internal/machine"
+	"khsim/internal/sim"
 )
 
 // TestMigrationSuite runs the live-migration sweep end to end: three
@@ -65,6 +67,14 @@ func TestMigrationSuite(t *testing.T) {
 	}
 	if !sawKill {
 		t.Fatal("sweep had no kill cell")
+	}
+	// The downtime budget is part of Check: push one clean cell past it.
+	over := *rep
+	over.Cells = append([]MigrationCell(nil), rep.Cells...)
+	over.Cells[1].Downtime = DowntimeBudget(over.Cells[1].WorkingSetPages, false) + sim.Nanosecond
+	over.Cells[2].Downtime = max(over.Cells[2].Downtime, over.Cells[1].Downtime)
+	if err := over.Check(); err == nil || !strings.Contains(err.Error(), "over budget") {
+		t.Fatalf("Check passed a cell over its downtime budget: %v", err)
 	}
 	// Downtime must strictly grow across the clean working-set sweep:
 	// the stop-and-copy round ships the last window's dirty set, which

@@ -143,6 +143,15 @@ func (r *ServingReport) Artifact() string {
 	return b.String()
 }
 
+// Events reports the simulation events fired across every cell.
+func (r *ServingReport) Events() uint64 {
+	var n uint64
+	for _, c := range r.Cells {
+		n += c.Report.EventsFired
+	}
+	return n
+}
+
 // Summary renders the latency-vs-rate table the experiment exists to
 // produce: p50/p99/p999 per rate, one row per (primary, rate) cell.
 func (r *ServingReport) Summary() string {

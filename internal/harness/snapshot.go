@@ -17,37 +17,27 @@ import (
 // explore a parameter axis (fault-injection delay) by forking the warm
 // snapshot per table cell instead of cold-booting per cell.
 
-// snapManifest is the partition plan for the snapshot experiments: the
-// standard benchmark node plus a watchdog restart policy on the job VM
-// so a fault-injected fork exercises the warm snapshot-restore path.
-const snapManifest = `
-[vm primary]
-class = primary
-vcpus = 4
-memory_mb = 256
-
-[vm job]
-class = secondary
-vcpus = 1
-memory_mb = 512
-working_set_pages = 256
-restart_policy = restart
+// snapManifest is the partition plan for the snapshot experiments:
+// the evaluation plan plus a watchdog restart policy on the job VM, so a
+// fault-injected fork exercises the warm snapshot-restore path.
+const snapManifest = EvaluationManifest + `restart_policy = restart
 max_restarts = 8
 restart_backoff_us = 500
 restart_from_snapshot = true
 `
 
-// snapStack is one booted snapshot-experiment stack.
-type snapStack struct {
-	n *core.SecureNode
-	s *noise.Selfish
+// SnapshotStack is one booted snapshot-experiment stack: the node and
+// the selfish-detour probe spinning in its job VM.
+type SnapshotStack struct {
+	Node  *core.SecureNode
+	probe *noise.Selfish
 }
 
-// buildSnapshotStack assembles and boots the standard snapshot stack: a
+// BuildSnapshotStack assembles and boots the standard snapshot stack: a
 // Kitten primary scheduling a Kitten job VM spinning the selfish-detour
-// probe for far longer than any experiment window, with the probe
+// probe for spin (far longer than any experiment window), with the probe
 // registered on the node so its result buffer rides node snapshots.
-func buildSnapshotStack(seed uint64, spin sim.Duration) (*snapStack, error) {
+func BuildSnapshotStack(seed uint64, spin sim.Duration) (*SnapshotStack, error) {
 	n, err := core.NewSecureNode(core.Options{
 		Seed:      seed,
 		Manifest:  snapManifest,
@@ -70,7 +60,7 @@ func buildSnapshotStack(seed uint64, spin sim.Duration) (*snapStack, error) {
 	if err := n.Boot(); err != nil {
 		return nil, err
 	}
-	return &snapStack{n: n, s: s}, nil
+	return &SnapshotStack{Node: n, probe: s}, nil
 }
 
 // artifact renders the stack's observable state as a deterministic
@@ -79,17 +69,17 @@ func buildSnapshotStack(seed uint64, spin sim.Duration) (*snapStack, error) {
 // snapshot and the tail of the time-ordered trace. Two timelines that
 // executed identically produce byte-identical artifacts; any divergence
 // anywhere in the stack shows up here.
-func (st *snapStack) artifact() string {
+func (st *SnapshotStack) artifact() string {
 	var b strings.Builder
-	eng := st.n.Machine.Engine
+	eng := st.Node.Machine.Engine
 	fmt.Fprintf(&b, "now=%.9fs fired=%d\n", eng.Now().Seconds(), eng.Fired())
-	fmt.Fprintf(&b, "hyp %+v\n", st.n.Hyp.Stats())
-	head := st.n.AttestLog.Head()
-	fmt.Fprintf(&b, "ledger len=%d head=%x\n", st.n.AttestLog.Len(), head[:8])
-	fmt.Fprintf(&b, "detours=%d\n", st.s.Result.Count())
+	fmt.Fprintf(&b, "hyp %+v\n", st.Node.Hyp.Stats())
+	head := st.Node.AttestLog.Head()
+	fmt.Fprintf(&b, "ledger len=%d head=%x\n", st.Node.AttestLog.Len(), head[:8])
+	fmt.Fprintf(&b, "detours=%d\n", st.probe.Result.Count())
 	fmt.Fprintf(&b, "--- metrics ---\n")
-	st.n.Machine.SnapshotMetrics().WriteText(&b)
-	recs := st.n.Machine.Trace.Sorted()
+	st.Node.Machine.SnapshotMetrics().WriteText(&b)
+	recs := st.Node.Machine.Trace.Sorted()
 	fmt.Fprintf(&b, "--- trace len=%d tail ---\n", len(recs))
 	if len(recs) > 50 {
 		recs = recs[len(recs)-50:]
@@ -119,7 +109,14 @@ type SnapshotReport struct {
 	Forked       string
 	Diverged     string
 	WarmRestores uint64
+
+	// EventsFired counts the events of the warmup and all four
+	// timelines (a fork rewinds the engine's own counter).
+	EventsFired uint64
 }
+
+// Events reports the simulation events fired across every timeline.
+func (r *SnapshotReport) Events() uint64 { return r.EventsFired }
 
 // Check enforces the fork-determinism contract: restored and forked
 // timelines byte-identical to the baseline, and the fault-injected fork
@@ -197,25 +194,31 @@ func RunSnapshotCheck(seed uint64) (*SnapshotReport, error) {
 		warmup = 5 * sim.Millisecond  // to the snapshot point
 		window = 10 * sim.Millisecond // from snapshot to comparison
 	)
-	st, err := buildSnapshotStack(seed, sim.FromSeconds(1))
+	st, err := BuildSnapshotStack(seed, sim.FromSeconds(1))
 	if err != nil {
 		return nil, err
 	}
-	n := st.n
+	n := st.Node
 	n.Run(warmup)
-	rep := &SnapshotReport{Seed: seed, SnapAt: n.Machine.Now()}
+	eng := n.Machine.Engine
+	firedAtSnap := eng.Fired()
+	rep := &SnapshotReport{Seed: seed, SnapAt: n.Machine.Now(), EventsFired: firedAtSnap}
 	snap := n.Machine.Snapshot()
+	runWindow := func() {
+		n.Run(window)
+		rep.EventsFired += eng.Fired() - firedAtSnap
+	}
 
-	n.Run(window)
+	runWindow()
 	rep.EndAt = n.Machine.Now()
 	rep.Baseline = st.artifact()
 
 	n.Machine.Fork(snap)
-	n.Run(window)
+	runWindow()
 	rep.Restored = st.artifact()
 
 	n.Machine.Fork(snap)
-	n.Run(window)
+	runWindow()
 	rep.Forked = st.artifact()
 
 	n.Machine.Fork(snap)
@@ -228,7 +231,7 @@ func RunSnapshotCheck(seed uint64) (*SnapshotReport, error) {
 			panic(fmt.Sprintf("harness: divergence injection: %v", err))
 		}
 	})
-	n.Run(window)
+	runWindow()
 	rep.Diverged = st.artifact()
 	rep.WarmRestores = n.Hyp.Stats().SnapshotRestores
 	rep.Forks = n.Machine.Forks()
@@ -284,11 +287,11 @@ func RunForkSweep(seed uint64, killAfters []sim.Duration, window sim.Duration) (
 	if window <= 0 {
 		return nil, fmt.Errorf("harness: fork sweep needs a positive window")
 	}
-	st, err := buildSnapshotStack(seed, sim.FromSeconds(1)+window*2)
+	st, err := BuildSnapshotStack(seed, sim.FromSeconds(1)+window*2)
 	if err != nil {
 		return nil, err
 	}
-	n := st.n
+	n := st.Node
 	n.Run(5 * sim.Millisecond)
 	rep := &ForkSweepReport{Seed: seed, SnapAt: n.Machine.Now(), Window: window}
 	snap := n.Machine.Snapshot()
@@ -318,7 +321,7 @@ func RunForkSweep(seed uint64, killAfters []sim.Duration, window sim.Duration) (
 			Crashes:   hs.Aborts - base.Aborts,
 			Restarts:  hs.Restarts - base.Restarts,
 			WarmRest:  hs.SnapshotRestores - base.SnapshotRestores,
-			Detours:   st.s.Result.Count(),
+			Detours:   st.probe.Result.Count(),
 			Fired:     n.Machine.Engine.Fired() - fired0,
 		})
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"khsim/internal/hafnium"
@@ -32,53 +31,31 @@ import (
 //	class = primary
 //	...
 //
-// Comments start with '#'. The [vm ...] sections pass through verbatim to
-// hafnium.ParseManifest.
+// Comments start with '#'. The [vm ...] sections pass through verbatim
+// (hafnium.PlanText) to hafnium.ParseManifest.
 func ParseManifest(text string) (Config, error) {
 	cfg := DefaultConfig()
 	cfg.Mix = workload.DefaultLambdaMix()
-	var plan strings.Builder
-	section := "" // "", "serve", or "vm"
-	for ln, raw := range strings.Split(text, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	var plan hafnium.PlanText
+	inServe := false
+	err := hafnium.ScanManifest(text, "serve", func(l *hafnium.ManifestLine) error {
+		if plan.Take(l) {
+			return nil
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return Config{}, fmt.Errorf("serve: manifest line %d: unterminated section", ln+1)
+		if l.Header != "" {
+			if l.Kind != "serve" || l.Name != "" {
+				return fmt.Errorf("expected [serve] or [vm <name>]")
 			}
-			parts := strings.Fields(strings.Trim(line, "[]"))
-			switch {
-			case len(parts) == 1 && parts[0] == "serve":
-				section = "serve"
-			case len(parts) == 2 && parts[0] == "vm":
-				section = "vm"
-				fmt.Fprintf(&plan, "\n%s\n", line)
-			default:
-				return Config{}, fmt.Errorf("serve: manifest line %d: expected [serve] or [vm <name>]", ln+1)
-			}
-			continue
+			inServe = true
+			return nil
 		}
-		key, val, ok := strings.Cut(line, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("serve: manifest line %d: expected key = value", ln+1)
+		if !inServe {
+			return fmt.Errorf("key %q outside any section", l.Key)
 		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch section {
-		case "vm":
-			fmt.Fprintf(&plan, "%s = %s\n", key, val)
-		case "serve":
-			if err := cfg.serveKey(key, val); err != nil {
-				return Config{}, fmt.Errorf("serve: manifest line %d: %w", ln+1, err)
-			}
-		default:
-			return Config{}, fmt.Errorf("serve: manifest line %d: key %q outside any section", ln+1, key)
-		}
+		return cfg.serveKey(l)
+	})
+	if err != nil {
+		return Config{}, err
 	}
 	cfg.NodePlan = plan.String()
 	if cfg.NodePlan == "" {
@@ -106,86 +83,46 @@ func ParseManifest(text string) (Config, error) {
 	if len(cfg.Rates) == 0 {
 		return Config{}, fmt.Errorf("serve: manifest needs at least one arrival rate")
 	}
-	if cfg.WarmPool < 0 || cfg.WarmPool > len(cfg.EnvVMs) {
+	if cfg.WarmPool > len(cfg.EnvVMs) {
 		return Config{}, fmt.Errorf("serve: warm_pool %d out of range for %d environments", cfg.WarmPool, len(cfg.EnvVMs))
 	}
 	return cfg, nil
 }
 
-func (c *Config) serveKey(key, val string) error {
-	num := func() (float64, error) {
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("%s: want a positive number, got %q", key, val)
-		}
-		return v, nil
-	}
-	switch key {
+func (c *Config) serveKey(l *hafnium.ManifestLine) error {
+	var err error
+	switch l.Key {
 	case "run_ms":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Run = sim.FromMicros(v * 1000)
+		c.Run, err = l.Duration(sim.Millisecond)
 	case "drain_ms":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Drain = sim.FromMicros(v * 1000)
+		c.Drain, err = l.Duration(sim.Millisecond)
 	case "ttl_ms":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.TTL = sim.FromMicros(v * 1000)
+		c.TTL, err = l.Duration(sim.Millisecond)
 	case "warm_pool":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return fmt.Errorf("warm_pool: want a non-negative integer, got %q", val)
-		}
-		c.WarmPool = n
+		c.WarmPool, err = l.Int()
 	case "retry_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.RetryBackoff = sim.FromMicros(v)
+		c.RetryBackoff, err = l.Duration(sim.Microsecond)
 	case "job_short_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Mix.MeanShort = sim.FromMicros(v)
+		c.Mix.MeanShort, err = l.Duration(sim.Microsecond)
 	case "job_long_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Mix.MeanLong = sim.FromMicros(v)
+		c.Mix.MeanLong, err = l.Duration(sim.Microsecond)
 	case "job_long_frac":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v < 0 || v > 1 {
-			return fmt.Errorf("job_long_frac: want a fraction in [0,1], got %q", val)
-		}
-		c.Mix.LongFrac = v
+		c.Mix.LongFrac, err = l.Fraction()
 	case "crash_mean_ms":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v < 0 {
-			return fmt.Errorf("crash_mean_ms: want a non-negative number, got %q", val)
-		}
-		c.CrashMean = sim.FromMicros(v * 1000)
+		c.CrashMean, err = l.OptionalDuration(sim.Millisecond)
 	case "rates":
 		c.Rates = nil
-		for _, f := range strings.Split(val, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || v <= 0 {
-				return fmt.Errorf("rates: want positive jobs/sec values, got %q", f)
+		rate := *l
+		for _, f := range strings.Split(l.Val, ",") {
+			rate.Val = strings.TrimSpace(f)
+			v, err := rate.Number()
+			if err != nil {
+				return err
 			}
 			c.Rates = append(c.Rates, v)
 		}
 	default:
-		return fmt.Errorf("unknown [serve] key %q", key)
+		err = fmt.Errorf("unknown [serve] key %q", l.Key)
 	}
-	return nil
+	return err
 }

@@ -9,7 +9,11 @@
 // makes the paper's figures reproducible from `go test`.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Time is a point in simulated time, measured in picoseconds since boot.
 //
@@ -39,6 +43,61 @@ func FromMicros(us float64) Duration { return Duration(us * float64(Microsecond)
 
 // FromSeconds converts a second count to a Duration.
 func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }
+
+// durationUnits are the suffixes ParseDuration accepts, longest first so
+// "ms" wins over "s", each with the conversion operator inputs have
+// always used for it.
+var durationUnits = []struct {
+	suffix string
+	unit   Duration
+	from   func(float64) Duration
+}{
+	{"ns", Nanosecond, FromNanos},
+	{"us", Microsecond, FromMicros},
+	{"ms", Millisecond, func(v float64) Duration { return FromMicros(v * 1000) }},
+	{"s", Second, FromSeconds},
+}
+
+// maxPicos bounds |v × unit| below 2^63 ps with room for the rounding
+// of the unit conversions, so a converted value always fits a Duration.
+const maxPicos = 9.2e18
+
+// FromUnit converts v units (Nanosecond, Microsecond, Millisecond or
+// Second) to a Duration, rejecting NaN, ±Inf and values that overflow a
+// Duration. It imposes no sign rule; callers decide whether zero or
+// negative spans are meaningful.
+func FromUnit(v float64, unit Duration) (Duration, error) {
+	for _, u := range durationUnits {
+		if u.unit != unit {
+			continue
+		}
+		if v != v || v > maxPicos/float64(unit) || v < -maxPicos/float64(unit) {
+			return 0, fmt.Errorf("%g%s is not a representable duration", v, u.suffix)
+		}
+		return u.from(v), nil
+	}
+	return 0, fmt.Errorf("sim: %d ps is not a duration unit", int64(unit))
+}
+
+// ParseDuration reads a decimal number with an ns, us, ms or s suffix
+// ("500us", "0.5ms", "2s"). The whole number must parse: trailing
+// garbage, NaN, ±Inf and values that overflow a Duration are errors.
+func ParseDuration(s string) (Duration, error) {
+	for _, u := range durationUnits {
+		if num, ok := strings.CutSuffix(s, u.suffix); ok {
+			v, err := strconv.ParseFloat(num, 64)
+			if err != nil {
+				return 0, fmt.Errorf("bad duration %q", s)
+			}
+			d, err := FromUnit(v, u.unit)
+			if err != nil {
+				return 0, fmt.Errorf("bad duration %q: %w", s, err)
+			}
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("duration %q needs an ns/us/ms/s suffix", s)
+}
 
 // Nanos reports the duration in nanoseconds.
 func (d Duration) Nanos() float64 { return float64(d) / float64(Nanosecond) }

@@ -84,3 +84,28 @@ func TestDurationString(t *testing.T) {
 		}
 	}
 }
+
+func TestParseDuration(t *testing.T) {
+	for s, want := range map[string]Duration{
+		"100ns": FromNanos(100), "50us": FromMicros(50), "0.5ms": FromMicros(500),
+		"2s": FromSeconds(2), "0ms": 0, "-1ms": -Millisecond, "1e3us": Millisecond,
+	} {
+		if got, err := ParseDuration(s); err != nil || got != want {
+			t.Errorf("ParseDuration(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"NaNms", "infs", "-Infus", "1xms", "1e300s", "9.3e6s", "ms", "5", "5m", ""} {
+		if d, err := ParseDuration(s); err == nil {
+			t.Errorf("ParseDuration(%q) accepted as %v", s, d)
+		}
+	}
+}
+
+func TestFromUnitBounds(t *testing.T) {
+	if d, err := FromUnit(9e6, Second); err != nil || d != FromSeconds(9e6) {
+		t.Fatalf("FromUnit(9e6 s) = %v, %v", d, err)
+	}
+	if _, err := FromUnit(1, 7); err == nil {
+		t.Fatal("FromUnit accepted a non-unit")
+	}
+}
