@@ -34,7 +34,8 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/docgate -arch ARCHITECTURE.md -internal internal \
-		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve
+		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve \
+		./internal/tz ./internal/cluster ./internal/harness
 
 # obscheck is the observability gate: the metrics snapshot must be
 # deterministic across same-seed runs, the Perfetto trace export must

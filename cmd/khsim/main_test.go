@@ -79,6 +79,27 @@ func TestServeInfManifestExits(t *testing.T) {
 	}
 }
 
+// TestClusterBadTargetManifestExits: a fault target that is not valid
+// for its kind — misspelt, malformed, empty or past the node count —
+// exits 1 naming the line and key instead of silently killing the leader.
+func TestClusterBadTargetManifestExits(t *testing.T) {
+	b, err := os.ReadFile("../../manifests/cluster-3node.manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{"folower", "node1x", "node-1", "", "node3"} {
+		text := strings.Replace(string(b), "target = leader", "target = "+target, 1)
+		path := filepath.Join(t.TempDir(), "bad.manifest")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, code := khsim(t, "cluster", "-manifest", path)
+		if code != 1 || !strings.Contains(out, "khsim: cluster: manifest line") || !strings.Contains(out, "target: want") {
+			t.Errorf("target %q: exit %d, output:\n%s", target, code, out)
+		}
+	}
+}
+
 // TestList: `khsim list` names every registered experiment, and each
 // one is a subcommand.
 func TestList(t *testing.T) {

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"khsim/internal/hafnium"
 	"khsim/internal/net"
@@ -9,7 +11,8 @@ import (
 )
 
 // ManifestFault is one scheduled fault in a cluster manifest: a VM kill
-// or a network fault, fired at an absolute offset from boot. Targets:
+// or a network fault, fired at an absolute offset from boot. Targets,
+// where node<N> needs N < nodes:
 //
 //	crash      "leader" (resolved at fire time), "follower", or "node<N>"
 //	partition  "node<N>", "leader" or "follower" (resolved at fire time)
@@ -23,6 +26,29 @@ type ManifestFault struct {
 	Count  int
 	Extra  sim.Duration
 	Window sim.Duration
+
+	line int // the target's manifest line (the header's when unset)
+}
+
+// faultTargets is the ManifestFault target table: the names each fault
+// kind accepts besides node<N>.
+var faultTargets = map[string][]string{
+	"crash":     {"leader", "follower"},
+	"partition": {"leader", "follower"},
+	"heal":      {"partitioned"},
+	"netdrop":   nil,
+	"netdelay":  nil,
+}
+
+// checkTarget reports whether f's target is valid for its kind on a
+// rack of nodes.
+func (f *ManifestFault) checkTarget(nodes int) error {
+	names := faultTargets[f.Kind]
+	if id, ok := net.ParseNodeID(f.Target); (ok && int(id) < nodes) || slices.Contains(names, f.Target) {
+		return nil
+	}
+	want := append(slices.Clone(names), fmt.Sprintf("node0..node%d", nodes-1))
+	return fmt.Errorf("cluster: manifest line %d: target: want %s, got %q", f.line, strings.Join(want, " | "), f.Target)
 }
 
 // ClusterManifest is the parsed form of a cluster manifest: rack shape,
@@ -45,10 +71,6 @@ type ClusterManifest struct {
 	// NodePlan is the embedded per-node Hafnium manifest text.
 	NodePlan string
 	Faults   []ManifestFault
-}
-
-var manifestFaultKinds = map[string]bool{
-	"crash": true, "partition": true, "heal": true, "netdrop": true, "netdelay": true,
 }
 
 // ParseManifest reads the cluster manifest format: a [cluster] section
@@ -93,11 +115,12 @@ func ParseManifest(text string) (*ClusterManifest, error) {
 			switch {
 			case l.Kind == "cluster" && l.Name == "":
 				section = "cluster"
-			case l.Kind == "fault" && manifestFaultKinds[l.Name]:
-				section = "fault"
-				m.Faults = append(m.Faults, ManifestFault{Kind: l.Name})
 			case l.Kind == "fault":
-				return fmt.Errorf("unknown fault kind %q", l.Name)
+				if _, ok := faultTargets[l.Name]; !ok {
+					return fmt.Errorf("unknown fault kind %q", l.Name)
+				}
+				section = "fault"
+				m.Faults = append(m.Faults, ManifestFault{Kind: l.Name, line: l.N})
 			default:
 				return fmt.Errorf("expected [cluster], [vm <name>] or [fault <kind>]")
 			}
@@ -130,6 +153,9 @@ func ParseManifest(text string) (*ClusterManifest, error) {
 		}
 		if f.At > m.Run {
 			return nil, fmt.Errorf("cluster: fault %d (%s) fires at %v, after the %v run", i, f.Kind, f.At, m.Run)
+		}
+		if err := f.checkTarget(m.Nodes); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
@@ -172,7 +198,7 @@ func faultKey(f *ManifestFault, l *hafnium.ManifestLine) error {
 	var err error
 	switch l.Key {
 	case "target":
-		f.Target = l.Val
+		f.Target, f.line = l.Val, l.N
 	case "at_ms":
 		f.At, err = l.Duration(sim.Millisecond)
 	case "count":

@@ -126,3 +126,46 @@ func TestParseManifestRejectsBadNumbers(t *testing.T) {
 		}
 	}
 }
+
+// TestParseManifestFaultTargets checks every fault target against its
+// kind's table in the ManifestFault doc and node<N> against the node
+// count. A misspelt target used to run as if it were "leader".
+func TestParseManifestFaultTargets(t *testing.T) {
+	const plan = "[cluster]\nnodes = 3\n[vm primary]\nclass = primary\n"
+	cases := []struct {
+		kind, target string
+		ok           bool
+	}{
+		{"crash", "leader", true}, {"crash", "follower", true}, {"crash", "node2", true},
+		{"partition", "leader", true}, {"partition", "follower", true}, {"partition", "node0", true},
+		{"heal", "partitioned", true}, {"heal", "node1", true},
+		{"netdrop", "node1", true}, {"netdelay", "node2", true},
+
+		{"crash", "folower", false}, {"crash", "node1x", false}, {"crash", "node-1", false},
+		{"crash", "", false}, {"crash", "node3", false}, {"crash", "partitioned", false},
+		{"partition", "partitioned", false}, {"partition", "node", false},
+		{"heal", "leader", false}, {"heal", "node01", false},
+		{"netdrop", "leader", false}, {"netdelay", "follower", false}, {"netdelay", "node3", false},
+	}
+	for _, c := range cases {
+		// The target sits on line 6 of the manifest.
+		text := plan + "[fault " + c.kind + "]\ntarget = " + c.target + "\nat_ms = 1\n"
+		_, err := ParseManifest(text)
+		if c.ok {
+			if err != nil {
+				t.Errorf("%s target %q rejected: %v", c.kind, c.target, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s target %q accepted", c.kind, c.target)
+		} else if msg := err.Error(); !strings.HasPrefix(msg, "cluster: manifest line 6: target: want ") {
+			t.Errorf("%s target %q: error does not name line 6 and the key: %v", c.kind, c.target, err)
+		}
+	}
+	// A fault with no target line is pinned to its header.
+	_, err := ParseManifest(plan + "[fault crash]\nat_ms = 1\n")
+	if err == nil || !strings.HasPrefix(err.Error(), "cluster: manifest line 5: target: want ") {
+		t.Errorf("missing target: %v", err)
+	}
+}

@@ -43,6 +43,7 @@ const (
 	Leader
 )
 
+// String returns the role's name: "follower", "candidate" or "leader".
 func (r Role) String() string {
 	switch r {
 	case Candidate:

@@ -236,8 +236,8 @@ func New(node *machine.Node, hyp *hafnium.Hypervisor, seed uint64, rules []Rule)
 			}
 		} else if needsFabric(r.Kind) {
 			if r.Target != "" {
-				if _, err := parseNodeTarget(r.Target); err != nil {
-					return nil, fmt.Errorf("faults: rule %d (%v): %w", i, r.Kind, err)
+				if _, ok := net.ParseNodeID(r.Target); !ok {
+					return nil, fmt.Errorf("faults: rule %d (%v): network fault target %q (want node<N>)", i, r.Kind, r.Target)
 				}
 			}
 		} else if r.Target != "" {
@@ -281,15 +281,6 @@ func needsFabric(k Kind) bool {
 		return true
 	}
 	return false
-}
-
-// parseNodeTarget reads a network fault target of the form "node<N>".
-func parseNodeTarget(s string) (net.NodeID, error) {
-	var n int
-	if _, err := fmt.Sscanf(s, "node%d", &n); err != nil || n < 0 {
-		return 0, fmt.Errorf("faults: network fault target %q (want node<N>)", s)
-	}
-	return net.NodeID(n), nil
 }
 
 // Start enables the spurious interrupt line and schedules every rule's
@@ -377,7 +368,7 @@ func (in *Injector) pickVM(r *Rule) *hafnium.VM {
 // fabric when unset.
 func (in *Injector) pickNode(r *Rule) net.NodeID {
 	if r.Target != "" {
-		id, _ := parseNodeTarget(r.Target) // validated in New
+		id, _ := net.ParseNodeID(r.Target) // validated in New
 		return id
 	}
 	id := net.NodeID(in.nextNode % in.fabric.Nodes())

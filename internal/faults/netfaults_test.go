@@ -112,11 +112,14 @@ func TestNetworkFaultKinds(t *testing.T) {
 
 func TestNetworkFaultValidation(t *testing.T) {
 	n, _ := buildSystem(t, 778, nil)
-	// A network rule with a VM-style target is rejected up front.
-	if _, err := faults.New(n.Machine, n.Hyp, 1, []faults.Rule{
-		{Kind: faults.NetPartition, Target: "job", At: []sim.Time{sim.Time(0).Add(sim.FromMicros(1))}},
-	}); err == nil {
-		t.Fatal("accepted a VM target for a network fault")
+	// A network rule whose target is not exactly node<N> — a VM name,
+	// trailing garbage, a sign, no number — is rejected up front.
+	for _, target := range []string{"job", "node1x", "node-1", "node", "node+1", "node01", "xnode1"} {
+		if _, err := faults.New(n.Machine, n.Hyp, 1, []faults.Rule{
+			{Kind: faults.NetPartition, Target: target, At: []sim.Time{sim.Time(0).Add(sim.FromMicros(1))}},
+		}); err == nil {
+			t.Errorf("accepted network fault target %q", target)
+		}
 	}
 	// Starting with net rules but no fabric fails.
 	in, err := faults.New(n.Machine, n.Hyp, 1, []faults.Rule{

@@ -44,12 +44,8 @@ func RunParallelWorkload(cfg Config, spec workload.Spec, vcpus int, seed uint64)
 	if vcpus < 1 || vcpus > 4 {
 		return workload.Result{}, 0, fmt.Errorf("harness: %d vcpus out of range", vcpus)
 	}
-	sched := core.SchedulerKitten
-	if cfg == LinuxVM {
-		sched = core.SchedulerLinux
-	}
 	n, err := core.NewSecureNode(core.Options{
-		Seed: seed, Manifest: parallelManifest(vcpus), Scheduler: sched,
+		Seed: seed, Manifest: parallelManifest(vcpus), Scheduler: cfg.Scheduler(),
 	})
 	if err != nil {
 		return workload.Result{}, 0, err
@@ -120,12 +116,8 @@ func RunInterference(cfg Config, spec workload.Spec, seed uint64, sameCore bool)
 		return InterferenceResult{}, fmt.Errorf("harness: interference runs need a VM configuration")
 	}
 	run := func(withHog bool) (workload.Result, error) {
-		sched := core.SchedulerKitten
-		if cfg == LinuxVM {
-			sched = core.SchedulerLinux
-		}
 		n, err := core.NewSecureNode(core.Options{
-			Seed: seed, Manifest: interferenceManifest, Scheduler: sched,
+			Seed: seed, Manifest: interferenceManifest, Scheduler: cfg.Scheduler(),
 		})
 		if err != nil {
 			return workload.Result{}, err
@@ -178,6 +170,7 @@ const (
 	GuestLinux
 )
 
+// String returns "linux-guest" or "kitten-guest".
 func (g GuestKernel) String() string {
 	if g == GuestLinux {
 		return "linux-guest"
@@ -193,12 +186,8 @@ func RunWorkloadGuest(cfg Config, guest GuestKernel, spec workload.Spec, seed ui
 	if cfg == Native {
 		return workload.Result{}, fmt.Errorf("harness: guest-kernel runs need a VM configuration")
 	}
-	sched := core.SchedulerKitten
-	if cfg == LinuxVM {
-		sched = core.SchedulerLinux
-	}
 	n, err := core.NewSecureNode(core.Options{
-		Seed: seed, Manifest: EvaluationManifest, Scheduler: sched,
+		Seed: seed, Manifest: EvaluationManifest, Scheduler: cfg.Scheduler(),
 	})
 	if err != nil {
 		return workload.Result{}, err
@@ -246,12 +235,8 @@ func RunDeviceNoise(cfg Config, spec workload.Spec, irqRate sim.Hertz, seed uint
 	if cfg == Native {
 		return DeviceNoiseResult{}, fmt.Errorf("harness: device-noise runs need a VM configuration")
 	}
-	sched := core.SchedulerKitten
-	if cfg == LinuxVM {
-		sched = core.SchedulerLinux
-	}
 	n, err := core.NewSecureNode(core.Options{
-		Seed: seed, Manifest: EvaluationManifest, Scheduler: sched,
+		Seed: seed, Manifest: EvaluationManifest, Scheduler: cfg.Scheduler(),
 	})
 	if err != nil {
 		return DeviceNoiseResult{}, err

@@ -1,17 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
 	"khsim/internal/cluster"
-	"khsim/internal/core"
 	"khsim/internal/faults"
 	"khsim/internal/hafnium"
-	"khsim/internal/kitten"
 	"khsim/internal/machine"
 	"khsim/internal/net"
-	"khsim/internal/noise"
 	"khsim/internal/sim"
 	"khsim/internal/tz"
 )
@@ -93,15 +91,11 @@ type FailoverReport struct {
 	HealAt        sim.Time
 
 	// Per-node end state.
-	LogLens  []uint64
-	Commits  []uint64
 	Restarts []int
 	VMStates []string
 
-	// Safety properties.
-	PrefixConsistent bool
-	Converged        bool // identical logs, commit == len, chains verify
-	ChainErrs        []string
+	// Safety properties, and each node's ledger length and commit index.
+	LedgerAudit
 
 	// Signed-proposal accounting: every payload a node offers the
 	// replicated ledger is signed by that node's TEE identity and
@@ -170,19 +164,21 @@ func (r *FailoverReport) Artifact() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster-failover seed=%d nodes=%d run=%v\n", r.Seed, r.Nodes, r.Run)
 	fmt.Fprintf(&b, "--- fault campaign ---\n")
-	for _, t := range r.harnessTrace {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
-	for _, rec := range r.injectTrace {
-		b.WriteString(rec.String())
-		b.WriteByte('\n')
-	}
+	writeLines(&b, r.harnessTrace)
+	writeLines(&b, r.injectTrace)
 	fmt.Fprintf(&b, "--- protocol trace ---\n")
 	b.WriteString(r.protoTrace)
 	fmt.Fprintf(&b, "--- outcome ---\n")
 	b.WriteString(r.Summary())
 	return b.String()
+}
+
+// writeLines writes each record on its own line.
+func writeLines[T fmt.Stringer](b *strings.Builder, recs []T) {
+	for _, r := range recs {
+		b.WriteString(r.String())
+		b.WriteByte('\n')
+	}
 }
 
 // Events reports the simulation events the run fired across all nodes.
@@ -267,63 +263,20 @@ var manifestNetKind = map[string]faults.Kind{
 // "follower", "partitioned" — resolve at fire time against live protocol
 // state, which only the harness can see.
 func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverReport, error) {
-	mc, err := machine.NewCluster(machine.ClusterConfig{
-		Nodes: m.Nodes,
-		Node:  clusterNodeConfig(),
-		Seed:  seed,
-		Link:  m.Link,
-	})
-	if err != nil {
-		return nil, err
-	}
-	stacks := make([]*core.SecureNode, m.Nodes)
-	replicaVMs := make([]*hafnium.VM, m.Nodes)
-	engines := make([]*sim.Engine, m.Nodes)
-	for i := 0; i < m.Nodes; i++ {
-		n, err := core.NewSecureNode(core.Options{
-			Node:      mc.Nodes[i],
-			Manifest:  m.NodePlan,
-			Scheduler: core.SchedulerKitten,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: node %d: %w", i, err)
-		}
-		// The replica VM spins for longer than the run so crash/restart
-		// cycles always have live work to kill.
-		guest := kitten.NewGuest(kitten.DefaultParams())
-		spin := noise.NewSelfish(fmt.Sprintf("attest%d", i), m.Run*4)
-		if m.SpinChunk > 0 {
-			spin.ChunkTime = m.SpinChunk
-		}
-		guest.Attach(0, spin)
-		n.Machine.RegisterSnapshotter("proc."+spin.Name(), spin)
-		if err := n.AttachGuest(m.ReplicaVM, guest, 1); err != nil {
-			return nil, fmt.Errorf("harness: node %d: %w", i, err)
-		}
-		if err := n.Boot(); err != nil {
-			return nil, fmt.Errorf("harness: node %d: %w", i, err)
-		}
-		vm, ok := n.Hyp.VMByName(m.ReplicaVM)
-		if !ok {
-			return nil, fmt.Errorf("harness: node %d: no VM %q", i, m.ReplicaVM)
-		}
-		stacks[i], replicaVMs[i], engines[i] = n, vm, n.Machine.Engine
-	}
-
 	pcfg := m.Protocol
 	pcfg.Seed = seed
-	svc, err := cluster.New(mc.Fabric, engines, pcfg)
-	if err != nil {
+	rk := &rack{
+		cluster:   machine.ClusterConfig{Nodes: m.Nodes, Node: clusterNodeConfig(), Seed: seed, Link: m.Link},
+		plan:      func(int) string { return m.NodePlan },
+		replicaVM: m.ReplicaVM,
+		run:       m.Run,
+		spinChunk: m.SpinChunk,
+		protocol:  pcfg,
+	}
+	if err := rk.build(); err != nil {
 		return nil, err
 	}
-	svc.SetMetrics(mc.Metrics)
-	for i := range replicaVMs {
-		vm := replicaVMs[i]
-		svc.SetAlive(i, func() bool { return vm.State() == hafnium.VMRunning })
-	}
-	if err := svc.Start(); err != nil {
-		return nil, err
-	}
+	mc, svc, stacks, engines, replicaVMs := rk.mc, rk.svc, rk.stacks, rk.engines, rk.replicas
 
 	rep := &FailoverReport{
 		Seed:          seed,
@@ -341,42 +294,33 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 		})
 	}
 
-	// Per-node signing identities; every node knows every public key, as
-	// the launch path would distribute them. Every payload a node offers
-	// the replicated ledger — boot quote, periodic re-attestation,
-	// lifecycle transition — is signed by that node's TEE identity and
-	// verified before it leaves the node, so an unsigned (or forged)
-	// proposal can never enter the shared log.
-	signers := make([]*tz.Signer, m.Nodes)
-	pubs := make([][]byte, m.Nodes)
-	for i := range signers {
-		signers[i] = tz.NewSigner(seed, i)
-		pubs[i] = signers[i].Public()
-	}
+	// Every payload a node offers the replicated ledger — boot quote,
+	// periodic re-attestation, lifecycle transition — is stamped with
+	// that node's TEE identity and verified before it leaves the node, so
+	// an unsigned (or forged) proposal can never enter the shared log. A
+	// proposal the protocol refuses is dropped.
 	signedPropose := func(id int, payload []byte) {
-		rec := tz.SignRecord(signers[id], id, payload)
-		if err := rec.Verify(pubs[id]); err != nil {
-			rep.SigFailed++
-			return
+		if rec, ok := rk.ids.Stamp(id, payload); ok {
+			svc.Propose(id, rec)
 		}
-		rep.SigVerified++
-		svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
 	}
+	// A lifecycle crash proposal usually drops — the replica VM just
+	// died, so the node cannot speak — and the restart record that
+	// follows is the evidence that survives.
+	rk.proposeLifecycle(func(id int, _ *sim.Engine, rec []byte) { svc.Propose(id, rec) })
 
 	// Proposal load: real attestation evidence, not synthetic counters.
 	// Each node's first proposal carries its measured-boot quote; every
 	// subsequent one re-attests the node-local lifecycle ledger (length,
 	// chain head, replica restart count), so watchdog restarts and
 	// snapshot restores show up in the replicated log as soon as the node
-	// can speak. Proposals stop before the end of the run so the tail
-	// heartbeats can drain commits and catch-ups.
-	stopAt := sim.Time(0).Add(m.Run - m.Run/8)
+	// can speak.
 	for i := 0; i < m.Nodes; i++ {
 		id, eng, n := i, engines[i], stacks[i]
 		booted := false
 		var tick func()
 		tick = func() {
-			if eng.Now() > stopAt {
+			if eng.Now() > rk.stopAt {
 				return
 			}
 			if !booted {
@@ -395,45 +339,36 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 		// Stagger the first proposal per node so cadences interleave.
 		first := m.ProposeEvery + sim.Duration(id)*(m.ProposeEvery/sim.Duration(m.Nodes))
 		eng.ScheduleNamed(sim.Time(0).Add(first), "failover.propose", tick)
-		// Lifecycle transitions (crash, restart, snapshot-restore,
-		// quarantine) propose themselves the moment they land in the
-		// node-local ledger. A crash proposal usually drops — the replica
-		// VM just died, so the node cannot speak — and the restart record
-		// that follows is the evidence that survives.
-		n.OnLifecycle = func(ev hafnium.LifecycleEvent) {
-			if eng.Now() > stopAt {
-				return
-			}
-			signedPropose(id, []byte(fmt.Sprintf("lifecycle n%d %s vm=%s restarts=%d",
-				id, ev.Kind, ev.VM, ev.Restarts)))
-		}
 	}
 
 	// Fault campaign. Static node targets go through the injector (the
 	// `khsim faults` path); dynamic ones resolve here at fire time.
+	// cluster.ParseManifest has already checked every target against its
+	// kind and the node count.
 	var rules []faults.Rule
-	killVM := func(node int, at sim.Time) {
-		// Hop onto the target node's engine so the crash (and the
-		// watchdog timers it arms) are scheduled in that node's present.
-		engines[node].ScheduleNamed(at, "failover.kill", func() {
-			if err := stacks[node].Hyp.InjectVMFault(replicaVMs[node].ID(), "injected: cluster kill"); err != nil {
-				note(at, node, "kill failed: %v", err)
-				return
+	// resolve maps a crash or partition target to a node at fire time:
+	// node<N> is node N, "leader" the sitting leader, and "follower" — or
+	// "leader" while none is known — the lowest-numbered live replica that
+	// is not the leader (falling back to the last node).
+	resolve := func(target string) int {
+		if id, ok := net.ParseNodeID(target); ok {
+			return int(id)
+		}
+		if id := svc.LeaderID(); target == "leader" && id >= 0 {
+			return id
+		}
+		for i, vm := range replicaVMs {
+			if svc.Replica(i).Role() != cluster.Leader && vm.State() == hafnium.VMRunning {
+				return i
 			}
-			note(at, node, "killed %s VM (leader kill)", m.ReplicaVM)
-		})
+		}
+		return m.Nodes - 1
 	}
 	for _, f := range m.Faults {
 		f := f
 		at := sim.Time(0).Add(f.At)
-		staticNode := -1
-		if n, err := fmt.Sscanf(f.Target, "node%d", &staticNode); n != 1 || err != nil {
-			staticNode = -1
-		}
-		if staticNode >= m.Nodes {
-			return nil, fmt.Errorf("harness: fault target %q out of range for %d nodes", f.Target, m.Nodes)
-		}
-		if k, ok := manifestNetKind[f.Kind]; ok && staticNode >= 0 {
+		_, static := net.ParseNodeID(f.Target)
+		if k, ok := manifestNetKind[f.Kind]; ok && static {
 			rules = append(rules, faults.Rule{
 				Kind: k, Target: f.Target, At: []sim.Time{at},
 				Burst: f.Count, Drift: f.Extra, Window: f.Window,
@@ -444,32 +379,27 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 		case "crash":
 			// Resolve the victim on node 0 at fire time, then hop to it.
 			engines[0].ScheduleNamed(at, "failover.resolve-kill", func() {
-				victim := staticNode
-				if victim < 0 {
-					victim = svc.LeaderID()
-					if f.Target == "follower" || victim < 0 {
-						victim = pickFollower(svc, replicaVMs)
-					}
-				}
+				victim := resolve(f.Target)
 				// The failover bound is only meaningful when the kill
 				// deposed the sitting leader.
 				if victim == svc.LeaderID() && victim >= 0 {
 					rep.LeaderBefore = victim
 					rep.KillAt = at
 				}
-				killVM(victim, at)
+				// Hop onto the victim's engine so the crash (and the
+				// watchdog timers it arms) are scheduled in that node's
+				// present.
+				engines[victim].ScheduleNamed(at, "failover.kill", func() {
+					if err := stacks[victim].Hyp.InjectVMFault(replicaVMs[victim].ID(), "injected: cluster kill"); err != nil {
+						note(at, victim, "kill failed: %v", err)
+						return
+					}
+					note(at, victim, "killed %s VM (leader kill)", m.ReplicaVM)
+				})
 			})
 		case "partition":
 			engines[0].ScheduleNamed(at, "failover.partition", func() {
-				victim := staticNode
-				if victim < 0 {
-					if f.Target == "leader" {
-						victim = svc.LeaderID()
-					}
-					if victim < 0 {
-						victim = pickFollower(svc, replicaVMs)
-					}
-				}
+				victim := resolve(f.Target)
 				mc.Fabric.Partition(net.NodeID(victim))
 				rep.PartitionNode, rep.PartitionAt = victim, at
 				note(at, victim, "partitioned")
@@ -484,18 +414,12 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 					}
 				}
 			})
-		default:
-			return nil, fmt.Errorf("harness: fault kind %q needs a node<N> target", f.Kind)
 		}
 	}
 	var in *faults.Injector
 	if len(rules) > 0 {
-		in, err = faults.New(mc.Nodes[0], stacks[0].Hyp, seed, rules)
-		if err != nil {
-			return nil, err
-		}
-		in.SetFabric(mc.Fabric)
-		if err := in.Start(sim.Time(0).Add(m.Run)); err != nil {
+		var err error
+		if in, err = rk.inject(rules); err != nil {
 			return nil, err
 		}
 	}
@@ -516,35 +440,24 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 			}
 		}
 	}
-	logs := svc.Logs()
 	// Classify what replicated: every node-originated payload must carry
-	// the signature suffix the signing path stamps. The raft layer's own
-	// leader no-op entries ("leader nX term T") are protocol bookkeeping,
-	// not node proposals, and are exempt.
-	for _, r := range logs[0].Slice(0, logs[0].Len()) {
-		payload := string(r.Payload)
+	// a signature stamp. The raft layer's own leader no-op entries
+	// ("leader nX term T") are protocol bookkeeping, not node proposals,
+	// and are exempt.
+	for _, r := range rk.audit(&rep.LedgerAudit) {
 		switch {
-		case strings.HasPrefix(payload, "leader n"):
-		case strings.Contains(payload, " sig="):
+		case bytes.HasPrefix(r.Payload, []byte("leader n")):
+		case tz.Stamped(r.Payload):
 			rep.SignedEntries++
 		default:
 			rep.UnsignedEntries++
 		}
 	}
-	rep.PrefixConsistent = svc.PrefixConsistent()
-	rep.Converged = true
-	for i, l := range logs {
-		rep.LogLens = append(rep.LogLens, l.Len())
-		rep.Commits = append(rep.Commits, svc.Replica(i).Commit())
-		rep.Restarts = append(rep.Restarts, replicaVMs[i].Restarts())
-		rep.VMStates = append(rep.VMStates, replicaVMs[i].State().String())
-		if err := l.Verify(); err != nil {
-			rep.ChainErrs = append(rep.ChainErrs, fmt.Sprintf("n%d: %v", i, err))
-		}
-		if l.Len() != logs[0].Len() || l.Head() != logs[0].Head() || svc.Replica(i).Commit() != l.Len() {
-			rep.Converged = false
-		}
+	for _, vm := range replicaVMs {
+		rep.Restarts = append(rep.Restarts, vm.Restarts())
+		rep.VMStates = append(rep.VMStates, vm.State().String())
 	}
+	rep.SigVerified, rep.SigFailed = rk.ids.Verified, rk.ids.Failed
 	rep.Fabric = mc.Fabric.Stats()
 	if in != nil {
 		rep.Injected = in.Stats()
@@ -553,15 +466,4 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 	rep.EventsFired = mc.Fired()
 	rep.protoTrace = svc.TraceString()
 	return rep, nil
-}
-
-// pickFollower returns the lowest-numbered live replica that is not the
-// current leader (falling back to the last node).
-func pickFollower(svc *cluster.Service, vms []*hafnium.VM) int {
-	for i := 0; i < svc.Replicas(); i++ {
-		if svc.Replica(i).Role() != cluster.Leader && vms[i].State() == hafnium.VMRunning {
-			return i
-		}
-	}
-	return svc.Replicas() - 1
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"khsim/internal/cluster"
+	"khsim/internal/serve"
 )
 
 // TestShippedClusterManifest keeps manifests/cluster-3node.manifest in
@@ -161,5 +162,39 @@ func TestClusterManifestStaticTargets(t *testing.T) {
 			t.Fatalf("safety violated: %v\n%s", err, r.Summary())
 		}
 		t.Logf("liveness note (acceptable for static targets): %v", err)
+	}
+}
+
+// TestChecksGateSignatureCounts: every experiment that stamps ledger
+// records refuses a run where a record failed its signature check or
+// none was checked at all, on hand-built reports that pass every other
+// gate.
+func TestChecksGateSignatureCounts(t *testing.T) {
+	checks := map[string]func(verified, failed uint64) error{
+		"failover": func(verified, failed uint64) error {
+			r := &FailoverReport{LedgerAudit: LedgerAudit{PrefixConsistent: true, Converged: true}, SigVerified: verified, SigFailed: failed}
+			return r.Check()
+		},
+		"migration": func(verified, failed uint64) error {
+			r := &MigrationReport{SigVerified: verified, SigFailed: failed}
+			return r.Check()
+		},
+		"serve": func(verified, failed uint64) error {
+			r := serve.Report{Stats: serve.PoolStats{
+				Generated: 1, Admitted: 1, Completed: 1, ColdPrepares: 1,
+				SigVerified: int(verified), SigFailed: int(failed),
+			}}
+			return r.Check()
+		},
+	}
+	for name, check := range checks {
+		if err := check(3, 0); err != nil {
+			t.Errorf("%s: a clean report fails its check: %v", name, err)
+		}
+		for _, c := range []struct{ verified, failed uint64 }{{3, 1}, {0, 0}, {0, 2}} {
+			if check(c.verified, c.failed) == nil {
+				t.Errorf("%s: accepted %d verified, %d failed signatures", name, c.verified, c.failed)
+			}
+		}
 	}
 }

@@ -35,6 +35,8 @@ const (
 // Configs lists the three configurations in paper order.
 var Configs = []Config{Native, KittenVM, LinuxVM}
 
+// String returns the configuration's name: "native", "kitten" or
+// "linux".
 func (c Config) String() string {
 	switch c {
 	case Native:
@@ -51,6 +53,15 @@ func (c Config) String() string {
 // TwoStage reports whether the configuration runs the workload under
 // nested translation.
 func (c Config) TwoStage() bool { return c != Native }
+
+// Scheduler returns the Hafnium primary scheduler a virtualized
+// configuration runs under: Linux for LinuxVM, Kitten otherwise.
+func (c Config) Scheduler() core.Scheduler {
+	if c == LinuxVM {
+		return core.SchedulerLinux
+	}
+	return core.SchedulerKitten
+}
 
 // EvaluationManifest is the paper's evaluation partition plan (§V), used
 // by the virtualized configurations: a 4-VCPU primary plus one
@@ -122,14 +133,10 @@ func runProcessNodeOpt(cfg Config, seed uint64, proc osapi.Process, finished fun
 		}
 		n.Run(horizon)
 	case KittenVM, LinuxVM:
-		sched := core.SchedulerKitten
-		if cfg == LinuxVM {
-			sched = core.SchedulerLinux
-		}
 		n, err := core.NewSecureNode(core.Options{
 			Seed:      seed,
 			Manifest:  EvaluationManifest,
-			Scheduler: sched,
+			Scheduler: cfg.Scheduler(),
 		})
 		if err != nil {
 			return nil, err

@@ -14,7 +14,6 @@ import (
 	"khsim/internal/net"
 	"khsim/internal/noise"
 	"khsim/internal/sim"
-	"khsim/internal/tz"
 )
 
 // Live-migration experiment: a 3-node rack where node 0 runs a job VM
@@ -57,8 +56,7 @@ type MigrationCell struct {
 	// Replicated-ledger evidence: the migration lifecycle records found
 	// in the converged committed log.
 	LedgerOut, LedgerIn, LedgerAbort bool
-	Converged                        bool
-	ChainErrs                        []string
+	LedgerAudit
 
 	Fabric      net.Stats
 	EventsFired uint64
@@ -94,11 +92,8 @@ func DowntimeBudget(wsPages int, kill bool) sim.Duration {
 
 // Check enforces the experiment's headline properties.
 func (r *MigrationReport) Check() error {
-	if r.SigFailed > 0 {
-		return fmt.Errorf("migration: %d ledger records failed signature verification", r.SigFailed)
-	}
-	if r.SigVerified == 0 {
-		return fmt.Errorf("migration: no signed ledger records verified")
+	if r.SigFailed > 0 || r.SigVerified == 0 {
+		return fmt.Errorf("migration: signed ledger records: %d verified, %d failed", r.SigVerified, r.SigFailed)
 	}
 	var prevDowntime sim.Duration
 	var prevWS int
@@ -170,10 +165,7 @@ func (r *MigrationReport) Artifact() string {
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		fmt.Fprintf(&b, "--- cell ws=%d kill=%v ---\n", c.WorkingSetPages, c.Kill)
-		for _, rec := range c.injectTrace {
-			b.WriteString(rec.String())
-			b.WriteByte('\n')
-		}
+		writeLines(&b, c.injectTrace)
 		b.WriteString(c.protoTail)
 		b.WriteString(r.cellSummary(c))
 	}
@@ -279,130 +271,63 @@ memory_mb = 16
 	return b.String()
 }
 
-// migNodeConfig is the migration cells' hardware template: one more
-// core than the failover rack so each secondary (the attest replica and
-// the job) owns a core outright — Kitten runs secondaries to
-// completion, so co-locating them would starve the job of the CPU time
-// the dirty-page model meters.
-func migNodeConfig() machine.Config {
-	cfg := clusterNodeConfig()
-	cfg.Cores = 3
-	return cfg
-}
-
 // runMigrationCell builds a fresh 3-node rack, migrates the job VM from
 // node 0 to node 1 mid-run, and appends the cell outcome to rep.
 func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 	const nodes = 3
 	run := rep.Run
 	seed := rep.Seed
-	mc, err := machine.NewCluster(machine.ClusterConfig{
-		Nodes: nodes,
-		Node:  migNodeConfig(),
-		Seed:  seed,
-	})
-	if err != nil {
-		return err
-	}
-
-	stacks := make([]*core.SecureNode, nodes)
-	replicaVMs := make([]*hafnium.VM, nodes)
-	engines := make([]*sim.Engine, nodes)
-	migrators := make([]machine.MigrationEndpoint, nodes)
-	for i := 0; i < nodes; i++ {
-		n, err := core.NewSecureNode(core.Options{
-			Node:      mc.Nodes[i],
-			Manifest:  migNodeManifest(i, ws),
-			Scheduler: core.SchedulerKitten,
-		})
-		if err != nil {
-			return fmt.Errorf("harness: node %d: %w", i, err)
-		}
-		attestGuest := kitten.NewGuest(kitten.DefaultParams())
-		attestSpin := noise.NewSelfish(fmt.Sprintf("attest%d", i), run*4)
-		attestGuest.Attach(0, attestSpin)
-		n.Machine.RegisterSnapshotter("proc."+attestSpin.Name(), attestSpin)
-		if err := n.AttachGuest("attest", attestGuest, 1); err != nil {
-			return fmt.Errorf("harness: node %d: %w", i, err)
-		}
+	pcfg := cluster.DefaultConfig(seed)
+	// One more core than the failover rack so each secondary (the attest
+	// replica and the job) owns a core outright — Kitten runs secondaries
+	// to completion, so co-locating them would starve the job of the CPU
+	// time the dirty-page model meters.
+	hw := clusterNodeConfig()
+	hw.Cores = 3
+	rk := &rack{
+		cluster:   machine.ClusterConfig{Nodes: nodes, Node: hw, Seed: seed},
+		plan:      func(node int) string { return migNodeManifest(node, ws) },
+		replicaVM: "attest",
+		run:       run,
+		protocol:  pcfg,
 		// The job workload is identical on every node: on standbys it is
 		// the landing pad whose state the imported image overwrites.
-		jobGuest := kitten.NewGuest(kitten.DefaultParams())
-		jobSpin := noise.NewSelfish("job", run*4)
-		jobGuest.Attach(0, jobSpin)
-		n.Machine.RegisterSnapshotter("proc.job", jobSpin)
-		if err := n.AttachGuest("job", jobGuest, 2); err != nil {
-			return fmt.Errorf("harness: node %d: %w", i, err)
-		}
-		if err := n.Boot(); err != nil {
-			return fmt.Errorf("harness: node %d: %w", i, err)
-		}
-		vm, ok := n.Hyp.VMByName("attest")
-		if !ok {
-			return fmt.Errorf("harness: node %d: no attest VM", i)
-		}
-		stacks[i], replicaVMs[i], engines[i] = n, vm, n.Machine.Engine
+		attach: func(_ int, n *core.SecureNode) error {
+			jobGuest := kitten.NewGuest(kitten.DefaultParams())
+			jobSpin := noise.NewSelfish("job", run*4)
+			jobGuest.Attach(0, jobSpin)
+			n.Machine.RegisterSnapshotter("proc.job", jobSpin)
+			return n.AttachGuest("job", jobGuest, 2)
+		},
+	}
+	if err := rk.build(); err != nil {
+		return err
+	}
+	mc, svc, stacks := rk.mc, rk.svc, rk.stacks
+	migrators := make([]machine.MigrationEndpoint, nodes)
+	for i, n := range stacks {
 		migrators[i] = hafnium.NewMigrator(n.Hyp, 0)
-	}
-
-	pcfg := cluster.DefaultConfig(seed)
-	svc, err := cluster.New(mc.Fabric, engines, pcfg)
-	if err != nil {
-		return err
-	}
-	svc.SetMetrics(mc.Metrics)
-	for i := range replicaVMs {
-		vm := replicaVMs[i]
-		svc.SetAlive(i, func() bool { return vm.State() == hafnium.VMRunning })
-	}
-	if err := svc.Start(); err != nil {
-		return err
 	}
 	if err := mc.EnableMigration(migrators); err != nil {
 		return err
 	}
 
-	// Per-node signing identities; every node knows every public key, as
-	// the launch path would distribute them.
-	signers := make([]*tz.Signer, nodes)
-	pubs := make([][]byte, nodes)
-	for i := range signers {
-		signers[i] = tz.NewSigner(seed, i)
-		pubs[i] = signers[i].Public()
-	}
-
-	// Lifecycle records (including the migration transitions) are signed,
-	// verified and proposed to the replicated ledger the moment they land
+	// Lifecycle records (including the migration transitions) are
+	// stamped and proposed to the replicated ledger the moment they land
 	// in the node-local one. A replica that knows no leader (mid-election,
 	// say, after the kill cell partitions the target) refuses the
 	// proposal; the record is then re-proposed once per heartbeat until it
 	// enters the protocol or stopAt passes, so it is not silently lost.
-	stopAt := sim.Time(0).Add(run - run/8)
-	var propose func(id int, eng *sim.Engine, payload []byte)
-	propose = func(id int, eng *sim.Engine, payload []byte) {
-		if svc.Propose(id, payload) {
+	var propose func(id int, eng *sim.Engine, rec []byte)
+	propose = func(id int, eng *sim.Engine, rec []byte) {
+		if svc.Propose(id, rec) {
 			return
 		}
-		if at := eng.Now().Add(pcfg.Heartbeat); at <= stopAt {
-			eng.ScheduleNamed(at, "ledger.repropose", func() { propose(id, eng, payload) })
+		if at := eng.Now().Add(pcfg.Heartbeat); at <= rk.stopAt {
+			eng.ScheduleNamed(at, "ledger.repropose", func() { propose(id, eng, rec) })
 		}
 	}
-	for i := 0; i < nodes; i++ {
-		id, eng := i, engines[i]
-		stacks[i].OnLifecycle = func(ev hafnium.LifecycleEvent) {
-			if eng.Now() > stopAt {
-				return
-			}
-			payload := []byte(fmt.Sprintf("lifecycle n%d %s vm=%s restarts=%d", id, ev.Kind, ev.VM, ev.Restarts))
-			rec := tz.SignRecord(signers[id], id, payload)
-			if err := rec.Verify(pubs[id]); err != nil {
-				rep.SigFailed++
-				return
-			}
-			rep.SigVerified++
-			propose(id, eng, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
-		}
-	}
+	rk.proposeLifecycle(propose)
 
 	// The migration: job VM, node 0 -> node 1, kicked off at 20 ms (well
 	// after boot and the first election settle).
@@ -418,16 +343,11 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 	// heal it at 60 ms so the commit handshake can resolve the transfer.
 	var in *faults.Injector
 	if kill {
-		rules := []faults.Rule{
+		in, err = rk.inject([]faults.Rule{
 			{Kind: faults.MigrationKill, Target: "target", At: []sim.Time{sim.Time(0).Add(sim.FromMicros(25_000))}},
 			{Kind: faults.NetHeal, Target: "node1", At: []sim.Time{sim.Time(0).Add(sim.FromMicros(60_000))}},
-		}
-		in, err = faults.New(mc.Nodes[0], stacks[0].Hyp, seed, rules)
+		})
 		if err != nil {
-			return err
-		}
-		in.SetCluster(mc)
-		if err := in.Start(sim.Time(0).Add(run)); err != nil {
 			return err
 		}
 	}
@@ -460,17 +380,7 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 
 	// Ledger evidence: migration lifecycle records in the committed,
 	// converged replicated log.
-	logs := svc.Logs()
-	cell.Converged = svc.PrefixConsistent()
-	for i, l := range logs {
-		if err := l.Verify(); err != nil {
-			cell.ChainErrs = append(cell.ChainErrs, fmt.Sprintf("n%d: %v", i, err))
-		}
-		if l.Len() != logs[0].Len() || l.Head() != logs[0].Head() || svc.Replica(i).Commit() != l.Len() {
-			cell.Converged = false
-		}
-	}
-	for _, r := range logs[0].Slice(0, logs[0].Len()) {
+	for _, r := range rk.audit(&cell.LedgerAudit) {
 		switch {
 		case bytes.Contains(r.Payload, []byte(" migrate-out ")):
 			cell.LedgerOut = true
@@ -480,6 +390,8 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 			cell.LedgerAbort = true
 		}
 	}
+	rep.SigVerified += rk.ids.Verified
+	rep.SigFailed += rk.ids.Failed
 	if in != nil {
 		cell.injectTrace = in.Trace()
 	}
@@ -492,10 +404,7 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 		tail = tail[len(tail)-8:]
 	}
 	var tb strings.Builder
-	for _, t := range tail {
-		tb.WriteString(t.String())
-		tb.WriteByte('\n')
-	}
+	writeLines(&tb, tail)
 	cell.protoTail = tb.String()
 
 	rep.Cells = append(rep.Cells, cell)

@@ -16,6 +16,8 @@ package net
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"khsim/internal/metrics"
 	"khsim/internal/sim"
@@ -23,6 +25,18 @@ import (
 
 // NodeID identifies a node on the fabric (dense, starting at 0).
 type NodeID int
+
+// ParseNodeID reads a node target written "node<N>": the prefix, then N
+// in decimal with no sign, no leading zero and nothing after it. It
+// rejects "node", "node-1" and "node1x".
+func ParseNodeID(s string) (NodeID, bool) {
+	digits, ok := strings.CutPrefix(s, "node")
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || n < 0 || strconv.Itoa(n) != digits {
+		return 0, false
+	}
+	return NodeID(n), true
+}
 
 // Message is one datagram in flight between two nodes. Payload is an
 // arbitrary protocol-owned value; Bytes is the wire size the link

@@ -218,3 +218,16 @@ func TestFabricDeterministicSequence(t *testing.T) {
 		}
 	}
 }
+
+func TestParseNodeID(t *testing.T) {
+	for s, want := range map[string]NodeID{"node0": 0, "node7": 7, "node12": 12} {
+		if id, ok := ParseNodeID(s); !ok || id != want {
+			t.Errorf("ParseNodeID(%q) = %d, %v; want %d", s, id, ok, want)
+		}
+	}
+	for _, s := range []string{"", "node", "node1x", "node-1", "node+1", "node01", "node 1", "Node1", "xnode1", "node99999999999999999999"} {
+		if id, ok := ParseNodeID(s); ok {
+			t.Errorf("ParseNodeID(%q) accepted as %d", s, id)
+		}
+	}
+}

@@ -89,7 +89,7 @@ type Pool struct {
 
 	arrRNG *sim.RNG // arrival gaps
 	demRNG *sim.RNG // demand draws
-	signer *tz.Signer
+	ids    *tz.Identities
 
 	login  *hafnium.VM
 	envs   []*Env
@@ -113,7 +113,6 @@ type Pool struct {
 
 	generated, admitted, completed, replayed int
 	admitRetries, doneRetries, dropped       int
-	sigVerified, sigFailed                   int
 
 	// Latency collects admission-to-completion latencies in microseconds;
 	// WarmPrep / ColdPrep collect prepare durations by path.
@@ -146,7 +145,7 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 		seed:   seed,
 		arrRNG: sim.NewRNG(seed ^ 0x5e3fe1),
 		demRNG: sim.NewRNG(seed ^ 0xde3a4d),
-		signer: tz.NewSigner(seed, 0),
+		ids:    tz.NewIdentities(seed, 1),
 		login:  login,
 		byName: make(map[string]*Env),
 		byVM:   make(map[hafnium.VMID]*Env),
@@ -217,7 +216,7 @@ func (p *Pool) Stats() PoolStats {
 	s := PoolStats{
 		Generated: p.generated, Admitted: p.admitted, Completed: p.completed,
 		Replayed: p.replayed, AdmitRetries: p.admitRetries, DoneRetries: p.doneRetries,
-		Dropped: p.dropped, SigVerified: p.sigVerified, SigFailed: p.sigFailed,
+		Dropped: p.dropped, SigVerified: int(p.ids.Verified), SigFailed: int(p.ids.Failed),
 	}
 	for _, e := range p.envs {
 		s.WarmPrepares += e.WarmPrepares
@@ -604,17 +603,11 @@ func (p *Pool) onLifecycle(ev hafnium.LifecycleEvent) {
 	}
 }
 
-// record signs one pool transition with the node identity, self-verifies
-// it (the per-record check the replicated path also performs), and
-// appends it to the attestation ledger with the signature prefix — the
-// serving counterpart of the migration provenance records.
+// record stamps one pool transition with the node identity (signed and
+// self-verified, the per-record check the replicated path also
+// performs) and appends it to the attestation ledger — the serving
+// counterpart of the migration provenance records.
 func (p *Pool) record(kind string, e *Env, detail string) {
-	payload := []byte(fmt.Sprintf("serve %s vm=%s epoch=%d %s", kind, e.Name, e.epoch, detail))
-	rec := tz.SignRecord(p.signer, 0, payload)
-	if rec.Verify(p.signer.Public()) == nil {
-		p.sigVerified++
-	} else {
-		p.sigFailed++
-	}
-	p.node.AttestLog.Append(0, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
+	rec, _ := p.ids.Stamp(0, []byte(fmt.Sprintf("serve %s vm=%s epoch=%d %s", kind, e.Name, e.epoch, detail)))
+	p.node.AttestLog.Append(0, rec)
 }

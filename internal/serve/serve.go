@@ -17,7 +17,7 @@
 // by fault injection are revived by the existing watchdog path and
 // reintegrated into the pool (crash-replace), with the in-flight job
 // replayed. Every pool transition — environment boot, crash-replace
-// reintegration, reap — is signed with the node's tz.Signer identity and
+// reintegration, reap — is stamped with the node's tz.Identities key and
 // appended to the attestation ledger.
 //
 // Everything is deterministic: the same seed reproduces the arrival

@@ -1,6 +1,7 @@
 package tz
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
@@ -10,60 +11,69 @@ import (
 // Signed attestation records. The paper's trusted launch path has the
 // secure world vouch for what runs on a node; here each node's secure
 // monitor holds a deterministic ed25519 identity key and signs the
-// lifecycle payloads it proposes to the replicated attestation ledger —
-// in particular the migration records, so a migrated VM's provenance
-// chain ("released on node 1, admitted on node 2") carries a verifiable
-// signature from each side. Ed25519 signing is deterministic (RFC 8032),
-// so signed payloads preserve the byte-identical-runs property.
+// payloads it offers an attestation ledger — in particular the
+// migration records, so a migrated VM's provenance chain ("released on
+// node 1, admitted on node 2") carries a verifiable signature from each
+// side. Ed25519 signing is deterministic (RFC 8032), so signed payloads
+// preserve the byte-identical-runs property.
+//
+// Identities.Stamp is the only path by which a payload becomes signed
+// ledger evidence, and it owns the evidence format: the payload, then
+// " sig=" and the first 8 signature bytes in hex.
 
-// Signer is a node's attestation signing identity.
-type Signer struct {
-	priv ed25519.PrivateKey
+// stampSep separates a ledger payload from its signature stamp.
+const stampSep = " sig="
+
+// Identities is one rack's attestation signing identities: a key per
+// node, and every node's verifying key registered with every other, as
+// the launch path would distribute them.
+type Identities struct {
+	keys []ed25519.PrivateKey
+	pubs []ed25519.PublicKey
+
+	// Verified and Failed count Stamp's per-record signature checks.
+	Verified, Failed uint64
 }
 
-// NewSigner derives node id's identity key from the cluster seed. The
-// derivation is deterministic — same seed, same keys — which stands in
-// for a provisioned per-device key in real hardware.
-func NewSigner(seed uint64, node int) *Signer {
+// NewIdentities derives the identities of a rack of nodes from its seed.
+// The derivation is deterministic — same seed and node, same key — which
+// stands in for a provisioned per-device key in real hardware.
+func NewIdentities(seed uint64, nodes int) *Identities {
+	ids := &Identities{}
 	var material [32]byte
 	binary.LittleEndian.PutUint64(material[0:], seed)
-	binary.LittleEndian.PutUint64(material[8:], uint64(node))
 	copy(material[16:], "khsim-attest-key")
-	sum := sha256.Sum256(material[:])
-	return &Signer{priv: ed25519.NewKeyFromSeed(sum[:])}
-}
-
-// Public returns the verifying key to register with the cluster's
-// verifier set.
-func (s *Signer) Public() ed25519.PublicKey {
-	return s.priv.Public().(ed25519.PublicKey)
-}
-
-// Sign produces the detached signature for one ledger payload.
-func (s *Signer) Sign(payload []byte) []byte {
-	return ed25519.Sign(s.priv, payload)
-}
-
-// SignedRecord is a ledger payload plus its provenance: which node
-// signed it and the signature bytes.
-type SignedRecord struct {
-	Node    int
-	Payload []byte
-	Sig     []byte
-}
-
-// SignRecord wraps a payload with node id's signature.
-func SignRecord(s *Signer, node int, payload []byte) SignedRecord {
-	return SignedRecord{Node: node, Payload: payload, Sig: s.Sign(payload)}
-}
-
-// Verify checks the record against pub.
-func (r SignedRecord) Verify(pub ed25519.PublicKey) error {
-	if len(r.Sig) != ed25519.SignatureSize {
-		return fmt.Errorf("tz: signature is %d bytes, want %d", len(r.Sig), ed25519.SignatureSize)
+	for i := 0; i < nodes; i++ {
+		binary.LittleEndian.PutUint64(material[8:], uint64(i))
+		sum := sha256.Sum256(material[:])
+		key := ed25519.NewKeyFromSeed(sum[:])
+		ids.keys = append(ids.keys, key)
+		ids.pubs = append(ids.pubs, key.Public().(ed25519.PublicKey))
 	}
-	if !ed25519.Verify(pub, r.Payload, r.Sig) {
-		return fmt.Errorf("tz: bad signature on record from node %d", r.Node)
-	}
-	return nil
+	return ids
 }
+
+// Stamp signs payload with node's key, checks the signature against the
+// key registered for node (counting the outcome in Verified or Failed),
+// and returns the ledger bytes — payload, " sig=", the signature's first
+// 8 bytes in hex — and whether the check passed.
+func (ids *Identities) Stamp(node int, payload []byte) ([]byte, bool) {
+	sig := ed25519.Sign(ids.keys[node], payload)
+	ok := ids.check(node, payload, sig)
+	return fmt.Appendf(nil, "%s"+stampSep+"%x", payload, sig[:8]), ok
+}
+
+// check verifies sig over payload against node's registered key and
+// counts the outcome.
+func (ids *Identities) check(node int, payload, sig []byte) bool {
+	ok := node >= 0 && node < len(ids.pubs) && ed25519.Verify(ids.pubs[node], payload, sig)
+	if ok {
+		ids.Verified++
+	} else {
+		ids.Failed++
+	}
+	return ok
+}
+
+// Stamped reports whether a ledger payload carries Stamp's signature.
+func Stamped(payload []byte) bool { return bytes.Contains(payload, []byte(stampSep)) }

@@ -24,6 +24,7 @@ const (
 	Secure
 )
 
+// String returns "secure" or "non-secure".
 func (w World) String() string {
 	if w == Secure {
 		return "secure"
