@@ -35,7 +35,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docgate -arch ARCHITECTURE.md -internal internal \
 		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve \
-		./internal/tz ./internal/cluster ./internal/harness
+		./internal/tz ./internal/cluster ./internal/harness ./internal/hafnium ./internal/machine
 
 # obscheck is the observability gate: the metrics snapshot must be
 # deterministic across same-seed runs, the Perfetto trace export must

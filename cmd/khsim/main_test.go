@@ -98,6 +98,23 @@ func TestClusterBadTargetManifestExits(t *testing.T) {
 			t.Errorf("target %q: exit %d, output:\n%s", target, code, out)
 		}
 	}
+	// Fault timing is checked after parsing, against the run length; the
+	// error still names the at_ms line (the [fault] header's, line 34,
+	// when the key is missing).
+	for at, want := range map[string]string{
+		"at_ms = 900": "khsim: cluster: manifest line 36: at_ms: ",
+		"":            "khsim: cluster: manifest line 34: at_ms: ",
+	} {
+		text := strings.Replace(string(b), "at_ms = 120", at, 1)
+		path := filepath.Join(t.TempDir(), "late.manifest")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, code := khsim(t, "cluster", "-manifest", path)
+		if code != 1 || !strings.Contains(out, want) {
+			t.Errorf("%q: exit %d, output:\n%s", at, code, out)
+		}
+	}
 }
 
 // TestList: `khsim list` names every registered experiment, and each

@@ -27,7 +27,9 @@ type ManifestFault struct {
 	Extra  sim.Duration
 	Window sim.Duration
 
-	line int // the target's manifest line (the header's when unset)
+	// The manifest lines of the target and at_ms keys (the [fault]
+	// header's while a key is unset), for errors found after parsing.
+	targetLine, atLine int
 }
 
 // faultTargets is the ManifestFault target table: the names each fault
@@ -48,7 +50,7 @@ func (f *ManifestFault) checkTarget(nodes int) error {
 		return nil
 	}
 	want := append(slices.Clone(names), fmt.Sprintf("node0..node%d", nodes-1))
-	return fmt.Errorf("cluster: manifest line %d: target: want %s, got %q", f.line, strings.Join(want, " | "), f.Target)
+	return fmt.Errorf("cluster: manifest line %d: target: want %s, got %q", f.targetLine, strings.Join(want, " | "), f.Target)
 }
 
 // ClusterManifest is the parsed form of a cluster manifest: rack shape,
@@ -120,7 +122,7 @@ func ParseManifest(text string) (*ClusterManifest, error) {
 					return fmt.Errorf("unknown fault kind %q", l.Name)
 				}
 				section = "fault"
-				m.Faults = append(m.Faults, ManifestFault{Kind: l.Name, line: l.N})
+				m.Faults = append(m.Faults, ManifestFault{Kind: l.Name, targetLine: l.N, atLine: l.N})
 			default:
 				return fmt.Errorf("expected [cluster], [vm <name>] or [fault <kind>]")
 			}
@@ -147,12 +149,12 @@ func ParseManifest(text string) (*ClusterManifest, error) {
 	if m.Nodes < 2 {
 		return nil, fmt.Errorf("cluster: manifest needs at least 2 nodes, got %d", m.Nodes)
 	}
-	for i, f := range m.Faults {
+	for _, f := range m.Faults {
 		if f.At <= 0 {
-			return nil, fmt.Errorf("cluster: fault %d (%s) needs a positive at_ms", i, f.Kind)
+			return nil, fmt.Errorf("cluster: manifest line %d: at_ms: missing from the %s fault", f.atLine, f.Kind)
 		}
 		if f.At > m.Run {
-			return nil, fmt.Errorf("cluster: fault %d (%s) fires at %v, after the %v run", i, f.Kind, f.At, m.Run)
+			return nil, fmt.Errorf("cluster: manifest line %d: at_ms: the %s fault fires at %v, after the %v run", f.atLine, f.Kind, f.At, m.Run)
 		}
 		if err := f.checkTarget(m.Nodes); err != nil {
 			return nil, err
@@ -198,8 +200,9 @@ func faultKey(f *ManifestFault, l *hafnium.ManifestLine) error {
 	var err error
 	switch l.Key {
 	case "target":
-		f.Target, f.line = l.Val, l.N
+		f.Target, f.targetLine = l.Val, l.N
 	case "at_ms":
+		f.atLine = l.N
 		f.At, err = l.Duration(sim.Millisecond)
 	case "count":
 		f.Count, err = l.Int()

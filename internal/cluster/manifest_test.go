@@ -80,20 +80,31 @@ func TestParseManifest(t *testing.T) {
 	}
 }
 
+// A case with a want prefix must fail with exactly that line and key:
+// fault-timing errors are found after parsing, so they carry the line
+// of the at_ms key, or of the [fault] header when the key is missing.
 func TestParseManifestRejects(t *testing.T) {
-	cases := map[string]string{
-		"no vm sections":   "[cluster]\nnodes = 3\n",
-		"one node":         "[cluster]\nnodes = 1\n[vm primary]\nclass = primary\n",
-		"unknown kind":     "[vm primary]\nclass = primary\n[fault meteor]\nat_ms = 1\n",
-		"unknown key":      "[cluster]\nwat = 1\n[vm primary]\nclass = primary\n",
-		"key outside":      "nodes = 3\n[vm primary]\nclass = primary\n",
-		"fault without at": "[vm primary]\nclass = primary\n[fault crash]\ntarget = leader\n",
-		"fault past end":   "[cluster]\nrun_ms = 10\n[vm primary]\nclass = primary\n[fault crash]\nat_ms = 50\n",
-		"bad number":       "[cluster]\nrun_ms = banana\n[vm primary]\nclass = primary\n",
+	cases := map[string]struct{ text, want string }{
+		"no vm sections": {"[cluster]\nnodes = 3\n", ""},
+		"one node":       {"[cluster]\nnodes = 1\n[vm primary]\nclass = primary\n", ""},
+		"unknown kind":   {"[vm primary]\nclass = primary\n[fault meteor]\nat_ms = 1\n", ""},
+		"unknown key":    {"[cluster]\nwat = 1\n[vm primary]\nclass = primary\n", ""},
+		"key outside":    {"nodes = 3\n[vm primary]\nclass = primary\n", ""},
+		"fault without at": {"[vm primary]\nclass = primary\n[fault crash]\ntarget = leader\n",
+			"cluster: manifest line 3: at_ms: "},
+		"fault past end": {"[cluster]\nrun_ms = 10\n[vm primary]\nclass = primary\n[fault crash]\nat_ms = 50\n",
+			"cluster: manifest line 6: at_ms: "},
+		"second fault past end": {"[cluster]\nrun_ms = 10\n[vm primary]\nclass = primary\n" +
+			"[fault crash]\ntarget = leader\nat_ms = 5\n[fault heal]\ntarget = partitioned\nat_ms = 11\n",
+			"cluster: manifest line 10: at_ms: "},
+		"bad number": {"[cluster]\nrun_ms = banana\n[vm primary]\nclass = primary\n", ""},
 	}
-	for name, text := range cases {
-		if _, err := ParseManifest(text); err == nil {
-			t.Errorf("%s: accepted\n%s", name, text)
+	for name, c := range cases {
+		_, err := ParseManifest(c.text)
+		if err == nil {
+			t.Errorf("%s: accepted\n%s", name, c.text)
+		} else if !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error does not start %q: %v", name, c.want, err)
 		}
 	}
 }

@@ -2,17 +2,14 @@ package hafnium
 
 import (
 	"fmt"
-	"sort"
 
-	"khsim/internal/mem"
-	"khsim/internal/mmu"
 	"khsim/internal/sim"
 )
 
 // This file is the crash-containment state machine: any guest
 // misbehaviour — a guest panic, a stage-2 violation, a hypercall from an
 // impossible context, an injected fault — funnels into containCrash, which
-// transitions the VM to VMCrashed, tears down everything it could leak
+// transitions the VM to VMCrashed, wipes everything it could leak
 // (memory grants, pending virtual interrupts, stale TLB entries, the
 // mailbox) and arms the per-VM watchdog. The primary Kitten VM and sibling
 // partitions keep running; only the offending partition pays.
@@ -30,13 +27,8 @@ func (h *Hypervisor) badHypercall(vm *VM, reason string) {
 // and eject resident VCPUs via cross-core kicks (their cores world-switch
 // out with ExitAborted when the SGI lands).
 func (h *Hypervisor) crashVM(vm *VM, reason string) {
-	if !h.containCrash(vm, reason) {
-		return
-	}
-	for _, vc := range vm.vcpus {
-		if vc.core >= 0 {
-			_ = h.kick(vc.core)
-		}
+	if h.containCrash(vm, reason) {
+		h.eject(vm)
 	}
 }
 
@@ -53,15 +45,10 @@ func (h *Hypervisor) abortFromGuest(vc *VCPU, reason string) {
 	}
 	id := c.ID()
 	c.StealAllSuspended() // discard the dead guest's in-flight work
-	vc.saved = nil
 	vc.core = -1
 	h.accountCPU(id, vc)
 	h.cur[id] = nil
-	for _, v := range vm.vcpus {
-		if v != vc && v.core >= 0 {
-			_ = h.kick(v.core)
-		}
-	}
+	h.eject(vm)
 	costs := h.node.Costs
 	h.worldSwitch(vm, costs.HypTrap+costs.WorldSwitch)
 	c.ExecUninterruptible("el2.abort", costs.HypTrap+costs.WorldSwitch, func() {
@@ -69,11 +56,11 @@ func (h *Hypervisor) abortFromGuest(vc *VCPU, reason string) {
 	})
 }
 
-// containCrash performs the state transition, VCPU teardown, grant
-// revocation, interrupt drain, and watchdog arming shared by every crash
-// path. It reports false when the VM is not in a crashable state (already
-// crashed, stopped, or quarantined), making concurrent crash reports from
-// multiple VCPUs idempotent.
+// containCrash moves a running VM to VMCrashed, wipes it and arms the
+// watchdog — the transition every crash path shares. It reports false
+// when the VM is not in a crashable state (already crashed, stopped, or
+// quarantined), making concurrent crash reports from multiple VCPUs
+// idempotent.
 func (h *Hypervisor) containCrash(vm *VM, reason string) bool {
 	if vm.spec.Class == Primary {
 		// The primary is the trusted scheduler; its failure is not a guest
@@ -85,62 +72,12 @@ func (h *Hypervisor) containCrash(vm *VM, reason string) bool {
 	}
 	vm.state = VMCrashed
 	vm.crashReason = reason
-	h.stats.Aborts++
-	h.metric("aborts", vm).Inc()
-	for _, v := range vm.vcpus {
-		v.state = VCPUStopped
-		v.CancelVTimer()
-		v.pending = nil // drain pending virtual interrupts
-		if v.core < 0 {
-			v.saved = nil
-		}
-	}
 	// Stale stage-2 translations must not outlive the crash: whatever
 	// image runs next in this VMID gets a cold TLB and a cold walk cache.
-	for _, c := range h.node.Cores {
-		c.TLB().InvalidateVMID(uint16(vm.id))
-	}
-	vm.s2cache.Flush()
-	h.revokeGrants(vm)
-	vm.mailbox = nil
-	h.lifecycle("crash", vm, reason)
+	h.wipe(vm)
+	h.record(trCrash, vm, reason)
 	h.armWatchdog(vm)
 	return true
-}
-
-// revokeGrants tears down every active grant involving the crashed VM.
-// Outbound share/lend grants: the receiver's window is unmapped and the
-// frames are scrubbed back to the (dead) owner. Inbound grants: the
-// crashed VM's window is unmapped and a lender gets its own mapping — and
-// scrubbed frames — back. Grant IDs are walked in sorted order so the
-// teardown sequence is deterministic.
-func (h *Hypervisor) revokeGrants(vm *VM) {
-	ids := make([]uint64, 0, len(h.shares))
-	for id, rec := range h.shares {
-		if rec.active && (rec.From == vm.id || rec.To == vm.id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		rec := h.shares[id]
-		size := uint64(len(rec.Pages)) * mem.PageSize
-		if rec.To == vm.id {
-			_ = vm.stage2.Unmap(rec.ToIPA, size)
-			if rec.Kind == MemLend {
-				src := h.vms[rec.From]
-				for i, pa := range rec.Pages {
-					_ = src.stage2.Map(rec.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX)
-				}
-			}
-		} else {
-			dst := h.vms[rec.To]
-			_ = dst.stage2.Unmap(rec.ToIPA, size)
-		}
-		h.stats.ScrubbedPages += uint64(len(rec.Pages))
-		h.metric("scrubbed_pages", vm).Add(uint64(len(rec.Pages)))
-		rec.active = false
-	}
 }
 
 // restartBackoff is the base watchdog delay for a VM spec.
@@ -170,9 +107,7 @@ func (h *Hypervisor) armWatchdog(vm *VM) {
 	}
 	if spec.Quarantine {
 		vm.state = VMQuarantined
-		h.stats.Quarantines++
-		h.metric("quarantines", vm).Inc()
-		h.lifecycle("quarantine", vm, vm.crashReason)
+		h.record(trQuarantine, vm, vm.crashReason)
 	}
 }
 
@@ -182,53 +117,30 @@ func (h *Hypervisor) armWatchdog(vm *VM) {
 // rebuild (fresh table, re-mapped RAM and device windows); with
 // restart_from_snapshot, a rewind of the live table to the warm
 // boot-time snapshot — O(pages dirtied since boot) thanks to
-// copy-on-write sharing, rather than O(mapped pages). RAM is scrubbed
-// (and charged) either way; only the translation-table work is saved.
+// copy-on-write sharing, rather than O(mapped pages). All of RAM is
+// scrubbed (and charged) either way; only the translation-table work is
+// saved. The hook fires before the VCPUs are handed back.
 func (h *Hypervisor) recoverVM(vm *VM) {
 	if vm.state != VMCrashed {
 		return
 	}
-	h.stats.ScrubbedPages += vm.ramSize / mem.PageSize
-	h.metric("scrubbed_pages", vm).Add(vm.ramSize / mem.PageSize)
-	kind := "restart"
-	if vm.spec.RestartFromSnapshot && vm.warmS2 != nil {
-		// Warm path: the table object is never swapped, so the walk cache
-		// self-invalidates off the table's bumped generation.
-		h.rewindStage2(vm)
-		h.stats.SnapshotRestores++
-		h.metric("snapshot_restores", vm).Inc()
-		kind = "snapshot-restore"
-	} else if err := h.rebuildStage2(vm); err != nil {
-		panic(fmt.Sprintf("hafnium: rebuilding %s stage-2 %v", vm.spec.Name, err))
+	all, _ := vm.pages()
+	t := trRestart
+	if h.reimage(vm, vm.spec.RestartFromSnapshot, all) {
+		t = trSnapshotRestore
 	}
-	vm.mailbox = nil
 	vm.restarts++
-	vm.state = VMRunning
-	h.stats.Restarts++
-	h.metric("restarts", vm).Inc()
-	h.lifecycle(kind, vm, vm.crashReason)
-	for _, vc := range vm.vcpus {
-		vc.state = VCPURunnable
-		vc.booted = false
-		vc.saved = nil
-		vc.pending = nil
-		h.primaryOS.VCPUReady(vc)
-	}
+	h.record(t, vm, vm.crashReason)
+	h.resume(vm, nil)
 }
 
 // InjectVMFault crashes a secondary from outside guest context — the path
 // a hypervisor-detected stage-2 violation or an injected fault takes. The
 // contained crash ejects resident VCPUs and triggers the watchdog policy.
 func (h *Hypervisor) InjectVMFault(id VMID, reason string) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return ErrBadVM
-	}
-	if vm.spec.Class == Primary {
-		return fmt.Errorf("hafnium: cannot fault the primary")
-	}
-	if vm.state != VMRunning {
-		return ErrNotRunning
+	vm, err := h.lookup(id, "fault", SuperSecondary, VMRunning)
+	if err != nil {
+		return err
 	}
 	h.crashVM(vm, reason)
 	return nil

@@ -76,7 +76,7 @@ type Hypervisor struct {
 	tlbPolicy TLBPolicy
 	booted    bool
 
-	// onLifecycle, when set, observes crash/restart/quarantine transitions
+	// onLifecycle, when set, observes every recorded lifecycle transition
 	// (see SetLifecycleHook).
 	onLifecycle func(LifecycleEvent)
 
@@ -728,15 +728,9 @@ func (h *Hypervisor) kick(core int) error {
 // interrupts to the primary VM which is then responsible for forwarding
 // any device IRQ on to the super-secondary").
 func (h *Hypervisor) InjectDeviceIRQ(to VMID, virq int) error {
-	vm, ok := h.vms[to]
-	if !ok {
-		return ErrBadVM
-	}
-	if vm.spec.Class == Primary {
-		return fmt.Errorf("hafnium: cannot inject into the primary")
-	}
-	if vm.state != VMRunning {
-		return ErrNotRunning
+	vm, err := h.lookup(to, "inject into", SuperSecondary, VMRunning)
+	if err != nil {
+		return err
 	}
 	h.stats.Forwards++
 	h.metric("device_forwards", vm).Inc()
@@ -760,46 +754,22 @@ func (h *Hypervisor) pendToVM(vm *VM, virq int) {
 
 // StopVM stops a secondary or super-secondary VM, ejecting resident VCPUs.
 func (h *Hypervisor) StopVM(id VMID) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return ErrBadVM
-	}
-	if vm.spec.Class == Primary {
-		return fmt.Errorf("hafnium: refusing to stop the primary")
-	}
-	if vm.state != VMRunning {
-		return ErrNotRunning
+	vm, err := h.lookup(id, "stop", SuperSecondary, VMRunning)
+	if err != nil {
+		return err
 	}
 	vm.state = VMStopped
-	for _, vc := range vm.vcpus {
-		if vc.core >= 0 {
-			_ = h.kick(vc.core)
-		} else {
-			vc.state = VCPUStopped
-			vc.CancelVTimer()
-			vc.saved = nil
-		}
-	}
+	h.eject(vm)
 	return nil
 }
 
 // RestartVM returns a stopped VM to service (fresh boot of its VCPUs).
 func (h *Hypervisor) RestartVM(id VMID) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return ErrBadVM
+	vm, err := h.lookup(id, "restart", SuperSecondary, VMStopped)
+	if err != nil {
+		return err
 	}
-	if vm.state != VMStopped {
-		return fmt.Errorf("hafnium: VM %q is %v, not stopped", vm.spec.Name, vm.state)
-	}
-	vm.state = VMRunning
-	for _, vc := range vm.vcpus {
-		vc.state = VCPURunnable
-		vc.booted = false
-		vc.saved = nil
-		vc.pending = nil
-		h.primaryOS.VCPUReady(vc)
-	}
+	h.resume(vm, nil)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package hafnium
 
 import (
 	"fmt"
+	"slices"
 
 	"khsim/internal/mem"
 	"khsim/internal/mmu"
@@ -20,6 +21,7 @@ const (
 	MemDonate
 )
 
+// String names the kind the way FFA does: "share", "lend" or "donate".
 func (k ShareKind) String() string {
 	switch k {
 	case MemShare:
@@ -195,6 +197,40 @@ func (h *Hypervisor) ReclaimMemory(by VMID, grantID uint64) error {
 	}
 	rec.active = false
 	return nil
+}
+
+// revokeGrants tears down every active grant involving vm, as part of
+// wiping its tenancy. Outbound share/lend grants: the receiver's window
+// is unmapped and the frames are scrubbed back to the owner (whose own
+// mapping the reimage that follows restores). Inbound grants: vm's
+// window is unmapped and a lender gets its own mapping — and scrubbed
+// frames — back. Grant IDs are walked in sorted order so the teardown
+// sequence is deterministic.
+func (h *Hypervisor) revokeGrants(vm *VM) {
+	var ids []uint64
+	for id, rec := range h.shares {
+		if rec.active && (rec.From == vm.id || rec.To == vm.id) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		rec := h.shares[id]
+		size := uint64(len(rec.Pages)) * mem.PageSize
+		if rec.To == vm.id {
+			_ = vm.stage2.Unmap(rec.ToIPA, size)
+			if rec.Kind == MemLend {
+				src := h.vms[rec.From]
+				for i, pa := range rec.Pages {
+					_ = src.stage2.Map(rec.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX)
+				}
+			}
+		} else {
+			_ = h.vms[rec.To].stage2.Unmap(rec.ToIPA, size)
+		}
+		h.scrub(vm, uint64(len(rec.Pages)))
+		rec.active = false
+	}
 }
 
 // VerifyIsolation is the invariant the whole design defends: every frame

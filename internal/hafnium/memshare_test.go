@@ -280,9 +280,34 @@ memory_mb = 64
 	}
 }
 
+// lifecycleShareManifest is shareManifest with watchdog restarts: "a"
+// restarts and recycles warm from its boot-time snapshot, "b" cold.
+const lifecycleShareManifest = `
+[vm primary]
+class = primary
+vcpus = 4
+memory_mb = 64
+
+[vm a]
+class = secondary
+vcpus = 1
+memory_mb = 64
+restart_policy = restart
+restart_from_snapshot = true
+working_set_pages = 16
+
+[vm b]
+class = secondary
+vcpus = 1
+memory_mb = 64
+restart_policy = restart
+`
+
 // Property: arbitrary interleavings of share/lend/donate/reclaim between
-// two VMs never break the isolation invariant, and every operation's
-// success/failure leaves the system self-consistent.
+// two VMs and lifecycle transitions of either — stop, restart, warm and
+// cold recycle, a crash run past its watchdog restart, a migration
+// pause rolled back — never break the isolation invariant, and every
+// operation's success/failure leaves the system self-consistent.
 func TestQuickShareIsolationInvariant(t *testing.T) {
 	type op struct {
 		Kind    uint8
@@ -290,11 +315,15 @@ func TestQuickShareIsolationInvariant(t *testing.T) {
 		PageOff uint8
 		Pages   uint8
 		Reclaim bool
+		// Life, when it names a transition (2..7), applies it to the VM
+		// FromA picks in place of a memory operation.
+		Life uint8
 	}
 	f := func(ops []op) bool {
-		ga := &stubGuest{workChunk: 1, chunks: 1}
-		gb := &stubGuest{workChunk: 1, chunks: 1}
-		h, _ := buildTestSystem(t, shareManifest, map[string]GuestOS{"a": ga, "b": gb})
+		ga := &migStubGuest{stubGuest: stubGuest{workChunk: 1, chunks: 1}}
+		gb := &migStubGuest{stubGuest: stubGuest{workChunk: 1, chunks: 1}}
+		h, _ := buildTestSystem(t, lifecycleShareManifest, map[string]GuestOS{"a": ga, "b": gb})
+		m := NewMigrator(h, 0)
 		a, _ := h.VMByName("a")
 		b, _ := h.VMByName("b")
 		base, _ := a.RAM()
@@ -303,14 +332,40 @@ func TestQuickShareIsolationInvariant(t *testing.T) {
 			by VMID
 		}
 		for _, o := range ops {
-			if o.Reclaim && len(grants) > 0 {
-				g := grants[0]
-				grants = grants[1:]
-				h.ReclaimMemory(g.by, g.id)
-			} else {
-				from, to := a, b
-				if !o.FromA {
-					from, to = b, a
+			from, to := a, b
+			if !o.FromA {
+				from, to = b, a
+			}
+			switch o.Life % 8 {
+			case 2:
+				h.StopVM(from.ID())
+			case 3:
+				h.RestartVM(from.ID())
+			case 4, 5:
+				h.RecycleVM(from.ID(), o.Life%8 == 4)
+			case 6:
+				if h.InjectVMFault(from.ID(), "property: injected") == nil {
+					h.Node().Engine.RunAll() // past the watchdog restart
+				}
+			case 7:
+				if m.PauseVM(from.Name()) == nil {
+					h.Node().Engine.RunAll()
+					img, _, err := m.ExtractVM(from.Name())
+					if err != nil {
+						t.Logf("extract after pause: %v", err)
+						return false
+					}
+					if err := m.AbortMigration(from.Name(), img, "property: rollback"); err != nil {
+						t.Logf("abort after pause: %v", err)
+						return false
+					}
+				}
+			default:
+				if o.Reclaim && len(grants) > 0 {
+					g := grants[0]
+					grants = grants[1:]
+					h.ReclaimMemory(g.by, g.id)
+					break
 				}
 				kind := ShareKind(o.Kind % 3)
 				ipa := base + uint64(o.PageOff%64)*mem.PageSize

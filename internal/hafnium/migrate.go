@@ -4,16 +4,16 @@ import (
 	"fmt"
 
 	"khsim/internal/machine"
-	"khsim/internal/mem"
 	"khsim/internal/sim"
 )
 
 // This file is the hypervisor side of live VM migration. The machine
 // layer (machine.Cluster.Migrate) drives the wire protocol — pre-copy
 // rounds, stop-and-copy, commit handshake — and calls down here through
-// the Migrator adapter to pause, carve out, admit, roll back or release
-// VM images. The invariant every path preserves: a migrating VM resumes
-// at the source (abort) or completes at the target (commit), never both.
+// Migrator, the one migration API, to pause, carve out, admit, roll back
+// or release VM images; each is a lifecycle transition (lifecycle.go).
+// The invariant every path preserves: a migrating VM resumes at the
+// source (abort) or completes at the target (commit), never both.
 
 // MigratableGuest is a GuestOS whose logical state can be exported into
 // a migration image and reinstalled on another node. kernel.Guest
@@ -57,198 +57,6 @@ type VMImage struct {
 	GuestBytes int
 }
 
-// PauseForMigration begins the stop-and-copy phase on the source node:
-// the VM transitions to VMMigrating and its resident VCPUs are ejected
-// via cross-core kicks (asynchronous — poll MigrationQuiesced before
-// ExtractVM). Unlike StopVM, the guest's logical state is preserved for
-// extraction. Only secondaries with a migratable guest can migrate.
-func (h *Hypervisor) PauseForMigration(id VMID) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return ErrBadVM
-	}
-	if vm.spec.Class != Secondary {
-		return fmt.Errorf("hafnium: VM %q is %v; only secondaries migrate", vm.spec.Name, vm.spec.Class)
-	}
-	if vm.state != VMRunning {
-		return ErrNotRunning
-	}
-	if _, ok := vm.guest.(MigratableGuest); !ok {
-		return fmt.Errorf("hafnium: VM %q guest kernel is not migratable", vm.spec.Name)
-	}
-	vm.state = VMMigrating
-	for _, vc := range vm.vcpus {
-		if vc.core >= 0 {
-			_ = h.kick(vc.core)
-		} else {
-			vc.state = VCPUStopped
-			vc.CancelVTimer()
-			vc.saved = nil
-		}
-	}
-	return nil
-}
-
-// MigrationQuiesced reports whether every VCPU of a migrating VM has
-// left its physical core (the eviction kicks are events; the migration
-// driver polls this before extracting the image).
-func (h *Hypervisor) MigrationQuiesced(id VMID) bool {
-	vm, ok := h.vms[id]
-	if !ok || vm.state != VMMigrating {
-		return false
-	}
-	for _, vc := range vm.vcpus {
-		if vc.core >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ExtractVM carves the portable image out of a paused, quiesced VM:
-// the copy-on-write stage-2 freeze (consistent capture stamp), pending
-// virtual interrupts, CPU-time accounting and the guest kernel's
-// exported state.
-func (h *Hypervisor) ExtractVM(id VMID) (*VMImage, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return nil, ErrBadVM
-	}
-	if vm.state != VMMigrating {
-		return nil, fmt.Errorf("hafnium: VM %q is %v, not migrating", vm.spec.Name, vm.state)
-	}
-	if !h.MigrationQuiesced(id) {
-		return nil, fmt.Errorf("hafnium: VM %q still has resident VCPUs", vm.spec.Name)
-	}
-	mg := vm.guest.(MigratableGuest)
-	gs, gb := mg.ExportMigration()
-	img := &VMImage{
-		Name:       vm.spec.Name,
-		RAMBytes:   vm.ramSize,
-		S2Mapped:   vm.stage2.MappedBytes(),
-		S2Gen:      vm.stage2.Gen(),
-		S2Freeze:   vm.stage2.Snapshot(),
-		Restarts:   vm.restarts,
-		CPUTime:    h.vmCPU[vm.id],
-		GuestState: gs,
-		GuestBytes: gb,
-	}
-	for _, vc := range vm.vcpus {
-		img.VCPUs = append(img.VCPUs, VCPUImage{Pending: append([]int(nil), vc.pending...)})
-	}
-	return img, nil
-}
-
-// AdmitVM imports a migrated image into a standby slot on the target
-// node and resumes it: guest state installed, pending interrupts
-// re-queued, VCPUs handed to the primary scheduler for a fresh boot
-// that continues the imported work.
-func (h *Hypervisor) AdmitVM(name string, img *VMImage) error {
-	vm, ok := h.VMByName(name)
-	if !ok {
-		return ErrBadVM
-	}
-	if vm.spec.Class != Secondary {
-		return fmt.Errorf("hafnium: VM %q is %v; only secondaries migrate", name, vm.spec.Class)
-	}
-	if vm.state != VMStopped {
-		return fmt.Errorf("hafnium: VM %q is %v, not a stopped standby slot", name, vm.state)
-	}
-	if vm.ramSize != img.RAMBytes {
-		return fmt.Errorf("hafnium: VM %q slot has %d RAM bytes, image needs %d", name, vm.ramSize, img.RAMBytes)
-	}
-	if len(vm.vcpus) != len(img.VCPUs) {
-		return fmt.Errorf("hafnium: VM %q slot has %d VCPUs, image has %d", name, len(vm.vcpus), len(img.VCPUs))
-	}
-	mg, ok := vm.guest.(MigratableGuest)
-	if !ok {
-		return fmt.Errorf("hafnium: VM %q guest kernel is not migratable", name)
-	}
-	if err := mg.ImportMigration(img.GuestState); err != nil {
-		return err
-	}
-	vm.restarts = img.Restarts
-	vm.crashReason = ""
-	vm.state = VMRunning
-	h.vmCPU[vm.id] += img.CPUTime
-	for i, vc := range vm.vcpus {
-		vc.state = VCPURunnable
-		vc.booted = false
-		vc.saved = nil
-		vc.pending = append([]int(nil), img.VCPUs[i].Pending...)
-		h.primaryOS.VCPUReady(vc)
-	}
-	h.stats.MigratedIn++
-	h.metric("migrated_in", vm).Inc()
-	h.lifecycle("migrate-in", vm, "live migration")
-	return nil
-}
-
-// AbortMigration rolls a paused VM back into service on the source node
-// after a failed transfer: the extracted image — the checkpoint taken at
-// pause — is reimported and the VCPUs resume, exactly as if the
-// migration had never been attempted (minus the pause window).
-func (h *Hypervisor) AbortMigration(id VMID, img *VMImage, reason string) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return ErrBadVM
-	}
-	if vm.state != VMMigrating {
-		return fmt.Errorf("hafnium: VM %q is %v, not migrating", vm.spec.Name, vm.state)
-	}
-	mg := vm.guest.(MigratableGuest)
-	if err := mg.ImportMigration(img.GuestState); err != nil {
-		return err
-	}
-	vm.state = VMRunning
-	for i, vc := range vm.vcpus {
-		vc.state = VCPURunnable
-		vc.booted = false
-		vc.saved = nil
-		vc.pending = append([]int(nil), img.VCPUs[i].Pending...)
-		h.primaryOS.VCPUReady(vc)
-	}
-	h.stats.MigrationAborts++
-	h.metric("migration_aborts", vm).Inc()
-	h.lifecycle("migrate-abort", vm, reason)
-	return nil
-}
-
-// ReleaseMigrated finishes a committed migration on the source node: the
-// VM's RAM is scrubbed (and charged), stale TLB and walk-cache state
-// invalidated, memory grants revoked and the mailbox cleared — the same
-// teardown a crash containment performs, because the image now runs
-// elsewhere and nothing here may leak. The slot ends VMStopped, reusable
-// as a standby landing pad for a future migration back.
-func (h *Hypervisor) ReleaseMigrated(id VMID) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return ErrBadVM
-	}
-	if vm.state != VMMigrating {
-		return fmt.Errorf("hafnium: VM %q is %v, not migrating", vm.spec.Name, vm.state)
-	}
-	h.stats.ScrubbedPages += vm.ramSize / mem.PageSize
-	h.metric("scrubbed_pages", vm).Add(vm.ramSize / mem.PageSize)
-	for _, c := range h.node.Cores {
-		c.TLB().InvalidateVMID(uint16(vm.id))
-	}
-	vm.s2cache.Flush()
-	h.revokeGrants(vm)
-	vm.mailbox = nil
-	vm.state = VMStopped
-	for _, vc := range vm.vcpus {
-		vc.state = VCPUStopped
-		vc.booted = false
-		vc.saved = nil
-		vc.pending = nil
-	}
-	h.stats.MigratedOut++
-	h.metric("migrated_out", vm).Inc()
-	h.lifecycle("migrate-out", vm, "live migration")
-	return nil
-}
-
 // LiveCPUTime is CPUTime plus the still-open residency spans of the
 // VM's currently resident VCPUs. CPUTime itself folds a span in only
 // when the VCPU exits, so for a guest that has been spinning without an
@@ -268,7 +76,8 @@ func (h *Hypervisor) LiveCPUTime(id VMID) sim.Duration {
 	return d
 }
 
-// Migrator adapts a Hypervisor to machine.MigrationEndpoint, adding the
+// Migrator is the hypervisor's migration API and its adapter to
+// machine.MigrationEndpoint, addressing VMs by manifest name. It adds the
 // dirty-page model the pre-copy rounds consult: pages dirtied since a
 // stamp are estimated from the guest CPU time accrued at dirtyRate
 // pages/second, clamped to the VM's working set — and if the stage-2
@@ -296,34 +105,45 @@ func NewMigrator(h *Hypervisor, dirtyRate float64) *Migrator {
 
 var _ machine.MigrationEndpoint = (*Migrator)(nil)
 
-func (m *Migrator) vmByName(name string) (*VM, error) {
+// lookup fetches the VM named name for a migration step and checks it
+// through Hypervisor.lookup: a secondary in state want.
+func (m *Migrator) lookup(name string, want VMState) (*VM, error) {
 	vm, ok := m.hyp.VMByName(name)
 	if !ok {
-		return nil, fmt.Errorf("hafnium: no VM %q", name)
+		return nil, fmt.Errorf("%w %q", ErrBadVM, name)
 	}
-	return vm, nil
+	return m.hyp.lookup(vm.id, "migrate", Secondary, want)
 }
 
-// workingSet is the dirty-page clamp: the manifest working set, bounded
-// by (and defaulting to) the VM's total RAM pages.
-func (m *Migrator) workingSet(vm *VM) uint64 {
-	total := vm.ramSize / mem.PageSize
-	ws := uint64(vm.spec.WorkingSetPages)
-	if ws == 0 || ws > total {
-		ws = total
+// image asserts that img is one this package extracted.
+func image(img any) (*VMImage, error) {
+	vi, ok := img.(*VMImage)
+	if !ok {
+		return nil, fmt.Errorf("hafnium: foreign migration image %T", img)
 	}
-	return ws
+	return vi, nil
+}
+
+// quiesced reports whether every VCPU of vm has left its physical core.
+func (vm *VM) quiesced() bool {
+	for _, vc := range vm.vcpus {
+		if vc.core >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // VMInfo implements machine.MigrationEndpoint.
 func (m *Migrator) VMInfo(name string) (machine.VMMigrationInfo, error) {
-	vm, err := m.vmByName(name)
-	if err != nil {
-		return machine.VMMigrationInfo{}, err
+	vm, ok := m.hyp.VMByName(name)
+	if !ok {
+		return machine.VMMigrationInfo{}, fmt.Errorf("%w %q", ErrBadVM, name)
 	}
+	_, ws := vm.pages()
 	return machine.VMMigrationInfo{
 		RAMBytes:        vm.ramSize,
-		WorkingSetPages: m.workingSet(vm),
+		WorkingSetPages: ws,
 		Stamp: machine.MigrationStamp{
 			CPU: m.hyp.LiveCPUTime(vm.id),
 			Gen: vm.stage2.Gen(),
@@ -331,78 +151,150 @@ func (m *Migrator) VMInfo(name string) (machine.VMMigrationInfo, error) {
 	}, nil
 }
 
-// PauseVM implements machine.MigrationEndpoint.
+// PauseVM implements machine.MigrationEndpoint. It begins the
+// stop-and-copy phase on the source node: the VM transitions to
+// VMMigrating and its resident VCPUs are ejected via cross-core kicks
+// (asynchronous — poll VMQuiesced before ExtractVM). Unlike StopVM, the
+// guest's logical state is preserved for extraction. Only secondaries
+// with a migratable guest can migrate.
 func (m *Migrator) PauseVM(name string) error {
-	vm, err := m.vmByName(name)
+	vm, err := m.lookup(name, VMRunning)
 	if err != nil {
 		return err
 	}
-	return m.hyp.PauseForMigration(vm.id)
+	if _, ok := vm.guest.(MigratableGuest); !ok {
+		return fmt.Errorf("hafnium: VM %q guest kernel is not migratable", name)
+	}
+	vm.state = VMMigrating
+	m.hyp.eject(vm)
+	return nil
 }
 
-// VMQuiesced implements machine.MigrationEndpoint.
+// VMQuiesced implements machine.MigrationEndpoint: it reports whether
+// every VCPU of a migrating VM has left its physical core (the eviction
+// kicks are events; the migration driver polls this before extracting
+// the image).
 func (m *Migrator) VMQuiesced(name string) bool {
-	vm, err := m.vmByName(name)
-	if err != nil {
-		return false
-	}
-	return m.hyp.MigrationQuiesced(vm.id)
+	vm, err := m.lookup(name, VMMigrating)
+	return err == nil && vm.quiesced()
 }
 
-// ExtractVM implements machine.MigrationEndpoint.
+// ExtractVM implements machine.MigrationEndpoint. It carves the
+// portable image out of a paused, quiesced VM: the copy-on-write
+// stage-2 freeze (consistent capture stamp), pending virtual
+// interrupts, CPU-time accounting and the guest kernel's exported
+// state. The image's wire size is the guest state plus fixed VM/VCPU
+// metadata.
 func (m *Migrator) ExtractVM(name string) (any, int, error) {
-	vm, err := m.vmByName(name)
+	vm, err := m.lookup(name, VMMigrating)
 	if err != nil {
 		return nil, 0, err
 	}
-	img, err := m.hyp.ExtractVM(vm.id)
-	if err != nil {
-		return nil, 0, err
+	if !vm.quiesced() {
+		return nil, 0, fmt.Errorf("hafnium: VM %q still has resident VCPUs", name)
 	}
-	// The image's wire size: guest state plus fixed VM/VCPU metadata.
-	bytes := img.GuestBytes + 128 + 16*len(img.VCPUs)
-	return img, bytes, nil
+	gs, gb := vm.guest.(MigratableGuest).ExportMigration()
+	img := &VMImage{
+		Name:       name,
+		RAMBytes:   vm.ramSize,
+		S2Mapped:   vm.stage2.MappedBytes(),
+		S2Gen:      vm.stage2.Gen(),
+		S2Freeze:   vm.stage2.Snapshot(),
+		Restarts:   vm.restarts,
+		CPUTime:    m.hyp.vmCPU[vm.id],
+		GuestState: gs,
+		GuestBytes: gb,
+	}
+	for _, vc := range vm.vcpus {
+		img.VCPUs = append(img.VCPUs, VCPUImage{Pending: append([]int(nil), vc.pending...)})
+	}
+	return img, img.GuestBytes + 128 + 16*len(img.VCPUs), nil
 }
 
-// AbortMigration implements machine.MigrationEndpoint.
+// AbortMigration implements machine.MigrationEndpoint. It rolls a
+// paused VM back into service on the source node after a failed
+// transfer: the extracted image — the checkpoint taken at pause — is
+// reimported and the VCPUs resume, exactly as if the migration had never
+// been attempted (minus the pause window).
 func (m *Migrator) AbortMigration(name string, img any, reason string) error {
-	vm, err := m.vmByName(name)
+	vi, err := image(img)
 	if err != nil {
 		return err
 	}
-	vi, ok := img.(*VMImage)
-	if !ok {
-		return fmt.Errorf("hafnium: abort with foreign image %T", img)
+	vm, err := m.lookup(name, VMMigrating)
+	if err != nil {
+		return err
 	}
-	return m.hyp.AbortMigration(vm.id, vi, reason)
+	if err := vm.guest.(MigratableGuest).ImportMigration(vi.GuestState); err != nil {
+		return err
+	}
+	m.hyp.resume(vm, vi)
+	m.hyp.record(trMigrateAbort, vm, reason)
+	return nil
 }
 
-// AdmitVM implements machine.MigrationEndpoint.
+// AdmitVM implements machine.MigrationEndpoint. It imports a migrated
+// image into a stopped standby slot on the target node and resumes it:
+// guest state installed, pending interrupts re-queued, VCPUs handed to
+// the primary scheduler for a fresh boot that continues the imported
+// work.
 func (m *Migrator) AdmitVM(name string, img any) error {
-	vi, ok := img.(*VMImage)
-	if !ok {
-		return fmt.Errorf("hafnium: admit with foreign image %T", img)
-	}
-	return m.hyp.AdmitVM(name, vi)
-}
-
-// ReleaseVM implements machine.MigrationEndpoint.
-func (m *Migrator) ReleaseVM(name string) error {
-	vm, err := m.vmByName(name)
+	vi, err := image(img)
 	if err != nil {
 		return err
 	}
-	return m.hyp.ReleaseMigrated(vm.id)
+	vm, err := m.lookup(name, VMStopped)
+	if err != nil {
+		return err
+	}
+	if vm.ramSize != vi.RAMBytes {
+		return fmt.Errorf("hafnium: VM %q slot has %d RAM bytes, image needs %d", name, vm.ramSize, vi.RAMBytes)
+	}
+	if len(vm.vcpus) != len(vi.VCPUs) {
+		return fmt.Errorf("hafnium: VM %q slot has %d VCPUs, image has %d", name, len(vm.vcpus), len(vi.VCPUs))
+	}
+	mg, ok := vm.guest.(MigratableGuest)
+	if !ok {
+		return fmt.Errorf("hafnium: VM %q guest kernel is not migratable", name)
+	}
+	if err := mg.ImportMigration(vi.GuestState); err != nil {
+		return err
+	}
+	vm.restarts = vi.Restarts
+	vm.crashReason = ""
+	m.hyp.vmCPU[vm.id] += vi.CPUTime
+	m.hyp.resume(vm, vi)
+	m.hyp.record(trMigrateIn, vm, "live migration")
+	return nil
+}
+
+// ReleaseVM implements machine.MigrationEndpoint. It finishes a
+// committed migration on the source node: the VM's RAM is scrubbed (and
+// charged) and the tenancy wiped — the same wipe a crash containment
+// performs, because the image now runs elsewhere and nothing here may
+// leak. The slot ends VMStopped, reusable as a standby landing pad for a
+// future migration back.
+func (m *Migrator) ReleaseVM(name string) error {
+	vm, err := m.lookup(name, VMMigrating)
+	if err != nil {
+		return err
+	}
+	all, _ := vm.pages()
+	m.hyp.scrub(vm, all)
+	m.hyp.wipe(vm)
+	vm.state = VMStopped
+	m.hyp.record(trMigrateOut, vm, "live migration")
+	return nil
 }
 
 // DirtyPages implements machine.MigrationEndpoint.
 func (m *Migrator) DirtyPages(name string, since machine.MigrationStamp) (uint64, machine.MigrationStamp) {
-	vm, err := m.vmByName(name)
-	if err != nil {
+	vm, ok := m.hyp.VMByName(name)
+	if !ok {
 		return 0, since
 	}
 	now := machine.MigrationStamp{CPU: m.hyp.LiveCPUTime(vm.id), Gen: vm.stage2.Gen()}
-	ws := m.workingSet(vm)
+	_, ws := vm.pages()
 	pages := uint64((now.CPU - since.CPU).Seconds() * m.dirtyRate)
 	if pages > ws {
 		pages = ws

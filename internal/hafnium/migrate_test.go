@@ -1,6 +1,7 @@
 package hafnium
 
 import (
+	"errors"
 	"testing"
 
 	"khsim/internal/mem"
@@ -43,6 +44,7 @@ standby = true
 func TestMigrationRoundtrip(t *testing.T) {
 	src := &migStubGuest{stubGuest: stubGuest{workChunk: sim.FromMicros(50), chunks: 100}, state: "payload-v1"}
 	hs, _ := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": src})
+	ms := NewMigrator(hs, 0)
 	job, _ := hs.VMByName("job")
 	vc := job.VCPU(0)
 	if err := hs.RunVCPU(hs.Node().Cores[0], vc); err != nil {
@@ -51,26 +53,30 @@ func TestMigrationRoundtrip(t *testing.T) {
 
 	// Pause while the VCPU is resident: the eviction kick is async, so
 	// extraction must be refused until the engine runs the kick.
-	if err := hs.PauseForMigration(job.ID()); err != nil {
+	if err := ms.PauseVM("job"); err != nil {
 		t.Fatal(err)
 	}
 	if job.State() != VMMigrating {
 		t.Fatalf("paused VM is %v, want migrating", job.State())
 	}
-	if hs.MigrationQuiesced(job.ID()) {
+	if ms.VMQuiesced("job") {
 		t.Fatal("quiesced before the eviction kick ran")
 	}
-	if _, err := hs.ExtractVM(job.ID()); err == nil {
+	if _, _, err := ms.ExtractVM("job"); err == nil {
 		t.Fatal("ExtractVM accepted a VM with resident VCPUs")
 	}
 	hs.Node().Engine.RunAll()
-	if !hs.MigrationQuiesced(job.ID()) {
+	if !ms.VMQuiesced("job") {
 		t.Fatal("VM never quiesced")
 	}
 
-	img, err := hs.ExtractVM(job.ID())
+	extracted, wire, err := ms.ExtractVM("job")
 	if err != nil {
 		t.Fatal(err)
+	}
+	img := extracted.(*VMImage)
+	if wire != img.GuestBytes+128+16 {
+		t.Fatalf("wire size %d, want guest state plus VM and one-VCPU metadata", wire)
 	}
 	if img.Name != "job" || img.RAMBytes != 128<<20 || len(img.VCPUs) != 1 {
 		t.Fatalf("image shape wrong: %+v", img)
@@ -85,11 +91,12 @@ func TestMigrationRoundtrip(t *testing.T) {
 	// Admit into a standby slot on a second node.
 	dst := &migStubGuest{stubGuest: stubGuest{workChunk: sim.FromMicros(50), chunks: 1}, state: "blank"}
 	hd, pd := buildTestSystem(t, migStandbyManifest, map[string]GuestOS{"job": dst})
+	md := NewMigrator(hd, 0)
 	slot, _ := hd.VMByName("job")
 	if slot.State() != VMStopped {
 		t.Fatalf("standby slot booted into %v, want stopped", slot.State())
 	}
-	if err := hd.AdmitVM("job", img); err != nil {
+	if err := md.AdmitVM("job", img); err != nil {
 		t.Fatal(err)
 	}
 	if slot.State() != VMRunning {
@@ -112,12 +119,12 @@ func TestMigrationRoundtrip(t *testing.T) {
 		t.Fatal("admitted guest never booted to continue the imported work")
 	}
 	// The slot is taken now: a second admit must be refused.
-	if err := hd.AdmitVM("job", img); err == nil {
+	if err := md.AdmitVM("job", img); err == nil {
 		t.Fatal("AdmitVM accepted a running slot")
 	}
 
 	// Release the source: scrubbed, stopped, accounted.
-	if err := hs.ReleaseMigrated(job.ID()); err != nil {
+	if err := ms.ReleaseVM("job"); err != nil {
 		t.Fatal(err)
 	}
 	if job.State() != VMStopped {
@@ -131,8 +138,8 @@ func TestMigrationRoundtrip(t *testing.T) {
 		t.Fatalf("scrubbed %d pages, want %d (the whole RAM window)", st.ScrubbedPages, want)
 	}
 	// Double release must be refused — the slot is no longer migrating.
-	if err := hs.ReleaseMigrated(job.ID()); err == nil {
-		t.Fatal("ReleaseMigrated accepted a stopped VM")
+	if err := ms.ReleaseVM("job"); err == nil {
+		t.Fatal("ReleaseVM accepted a stopped VM")
 	}
 }
 
@@ -142,20 +149,21 @@ func TestMigrationRoundtrip(t *testing.T) {
 func TestMigrationAbortRollsBack(t *testing.T) {
 	g := &migStubGuest{stubGuest: stubGuest{workChunk: sim.FromMicros(50), chunks: 100}, state: "checkpoint"}
 	h, p := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": g})
+	m := NewMigrator(h, 0)
 	job, _ := h.VMByName("job")
 	if err := h.RunVCPU(h.Node().Cores[0], job.VCPU(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.PauseForMigration(job.ID()); err != nil {
+	if err := m.PauseVM("job"); err != nil {
 		t.Fatal(err)
 	}
 	h.Node().Engine.RunAll()
-	img, err := h.ExtractVM(job.ID())
+	img, _, err := m.ExtractVM("job")
 	if err != nil {
 		t.Fatal(err)
 	}
 	readies := len(p.readies)
-	if err := h.AbortMigration(job.ID(), img, "link lost"); err != nil {
+	if err := m.AbortMigration("job", img, "link lost"); err != nil {
 		t.Fatal(err)
 	}
 	if job.State() != VMRunning {
@@ -171,7 +179,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 		t.Fatal("rolled-back VCPU was not re-queued with the scheduler")
 	}
 	// Aborting again must fail: the VM is back in service.
-	if err := h.AbortMigration(job.ID(), img, "again"); err == nil {
+	if err := m.AbortMigration("job", img, "again"); err == nil {
 		t.Fatal("AbortMigration accepted a running VM")
 	}
 }
@@ -181,25 +189,29 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 func TestMigrationGuards(t *testing.T) {
 	plain := &stubGuest{workChunk: sim.FromMicros(10), chunks: 1}
 	h, _ := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": plain})
-	if err := h.PauseForMigration(PrimaryID); err == nil {
+	m := NewMigrator(h, 0)
+	if err := m.PauseVM("primary"); err == nil {
 		t.Fatal("paused the primary")
 	}
-	job, _ := h.VMByName("job")
-	if err := h.PauseForMigration(job.ID()); err == nil {
+	if err := m.PauseVM("job"); err == nil {
 		t.Fatal("paused a VM whose guest is not migratable")
 	}
-	if err := h.PauseForMigration(VMID(99)); err == nil {
-		t.Fatal("paused a phantom VM")
+	if err := m.PauseVM("ghost"); !errors.Is(err, ErrBadVM) {
+		t.Fatalf("paused a phantom VM: %v", err)
+	}
+	if err := m.AbortMigration("job", "not an image", "x"); err == nil {
+		t.Fatal("aborted with a foreign image")
 	}
 
 	// RAM-size mismatch on admit.
 	dst := &migStubGuest{stubGuest: stubGuest{workChunk: sim.FromMicros(10), chunks: 1}}
 	hd, _ := buildTestSystem(t, migStandbyManifest, map[string]GuestOS{"job": dst})
+	md := NewMigrator(hd, 0)
 	bad := &VMImage{Name: "job", RAMBytes: 64 << 20, VCPUs: []VCPUImage{{}}}
-	if err := hd.AdmitVM("job", bad); err == nil {
+	if err := md.AdmitVM("job", bad); err == nil {
 		t.Fatal("admitted an image with mismatched RAM size")
 	}
-	if err := hd.AdmitVM("ghost", bad); err == nil {
+	if err := md.AdmitVM("ghost", bad); err == nil {
 		t.Fatal("admitted into a nonexistent slot")
 	}
 }

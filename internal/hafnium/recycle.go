@@ -1,14 +1,9 @@
 package hafnium
 
-import (
-	"fmt"
-
-	"khsim/internal/mem"
-	"khsim/internal/sim"
-)
+import "khsim/internal/sim"
 
 // This file is the serving-pool environment-recycle path: a stopped
-// secondary VM is scrubbed and its stage-2 image brought back to a
+// secondary VM is wiped and its stage-2 image brought back to a
 // pristine state so the next short-lived job starts in a clean
 // environment, without paying a crash or a full manifest reboot. It is
 // the "prepare once, execute many" half of the ephemeral-VM serving
@@ -18,18 +13,6 @@ import (
 // into the simulated latency the pool charges before the environment is
 // restarted.
 
-// prepPages reports the page counts a recycle touches: the VM's full RAM
-// image and the working set a warm rewind is bounded by. A manifest with
-// no working_set_pages pessimistically dirties everything.
-func (vm *VM) prepPages() (all, ws uint64) {
-	all = vm.ramSize / mem.PageSize
-	ws = uint64(vm.spec.WorkingSetPages)
-	if ws == 0 || ws > all {
-		ws = all
-	}
-	return all, ws
-}
-
 // PrepareCost reports the simulated time a RecycleVM of the given flavor
 // costs: a cold prepare scrubs and re-maps every RAM page; a warm
 // prepare scrubs only the working set the last tenant dirtied and
@@ -38,67 +21,39 @@ func (vm *VM) prepPages() (all, ws uint64) {
 // environment's restart by it) rather than burned on a core, because the
 // table work happens in EL2 on whatever core is free.
 func (h *Hypervisor) PrepareCost(id VMID, warm bool) (sim.Duration, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return 0, ErrBadVM
+	vm, err := h.lookup(id, "recycle", SuperSecondary, VMStopped)
+	if err != nil {
+		return 0, err
 	}
-	all, ws := vm.prepPages()
+	all, ws := vm.pages()
 	costs := h.node.Costs
-	if warm && vm.warmS2 != nil {
+	if vm.warmPath(warm) {
 		return sim.Duration(ws) * (costs.PageScrub + costs.S2RestorePage), nil
 	}
 	return sim.Duration(all) * (costs.PageScrub + costs.S2MapPage), nil
 }
 
 // RecycleVM returns a stopped secondary's image to a pristine state so a
-// serving pool can reuse the partition for its next tenant. With warm
-// set (and a warm boot-time snapshot available — restart_from_snapshot
-// in the manifest), the live stage-2 table is rewound to the snapshot;
-// otherwise the table is rebuilt cold, exactly as a watchdog cold
-// restart would. RAM handed to the next tenant is scrubbed (and
-// accounted) either way. The VM stays stopped: the caller charges
-// PrepareCost and then RestartVM-boots it. Reports whether the warm path
-// was actually used.
+// serving pool can reuse the partition for its next tenant. The last
+// tenant's tenancy is wiped — stale translations, memory grants, mailbox
+// and pending interrupts — and the stage-2 table comes back warm (with
+// warm set and a boot-time snapshot available — restart_from_snapshot in
+// the manifest — the live table is rewound to the snapshot) or cold
+// (rebuilt exactly as a watchdog cold restart would). RAM handed to the
+// next tenant is scrubbed (and accounted) either way. The VM stays
+// stopped: the caller charges PrepareCost and then RestartVM-boots it.
+// Reports whether the warm path was actually used.
 func (h *Hypervisor) RecycleVM(id VMID, warm bool) (bool, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return false, ErrBadVM
+	vm, err := h.lookup(id, "recycle", SuperSecondary, VMStopped)
+	if err != nil {
+		return false, err
 	}
-	if vm.spec.Class == Primary {
-		return false, fmt.Errorf("hafnium: refusing to recycle the primary")
+	h.wipe(vm)
+	_, ws := vm.pages()
+	if h.reimage(vm, warm, ws) {
+		h.record(trRecycleWarm, vm, "")
+		return true, nil
 	}
-	if vm.state != VMStopped {
-		return false, fmt.Errorf("hafnium: VM %q is %v, not stopped", vm.spec.Name, vm.state)
-	}
-	all, ws := vm.prepPages()
-	// Stale translations for the old tenant must not survive into the new
-	// environment, whichever way the table comes back.
-	for _, c := range h.node.Cores {
-		c.TLB().InvalidateVMID(uint16(vm.id))
-	}
-	vm.s2cache.Flush()
-	usedWarm := warm && vm.warmS2 != nil
-	if usedWarm {
-		h.rewindStage2(vm)
-		h.stats.RecyclesWarm++
-		h.stats.ScrubbedPages += ws
-		h.metric("recycles_warm", vm).Inc()
-		h.metric("scrubbed_pages", vm).Add(ws)
-		h.lifecycle("recycle-warm", vm, "")
-	} else {
-		if err := h.rebuildStage2(vm); err != nil {
-			panic(fmt.Sprintf("hafnium: recycling %s stage-2 %v", vm.spec.Name, err))
-		}
-		h.stats.RecyclesCold++
-		h.stats.ScrubbedPages += all
-		h.metric("recycles_cold", vm).Inc()
-		h.metric("scrubbed_pages", vm).Add(all)
-		h.lifecycle("recycle-cold", vm, "")
-	}
-	vm.mailbox = nil
-	for _, vc := range vm.vcpus {
-		vc.pending = nil
-		vc.saved = nil
-	}
-	return usedWarm, nil
+	h.record(trRecycleCold, vm, "")
+	return false, nil
 }

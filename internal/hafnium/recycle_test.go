@@ -3,6 +3,8 @@ package hafnium
 import (
 	"testing"
 
+	"khsim/internal/mem"
+	"khsim/internal/mmu"
 	"khsim/internal/sim"
 )
 
@@ -192,5 +194,37 @@ func TestRecycleThenRestartBootsFresh(t *testing.T) {
 	node.Engine.Run(node.Now().Add(sim.FromSeconds(0.01)))
 	if g.booted != 2 || g.completed != 2 {
 		t.Fatalf("second life: booted=%d completed=%d", g.booted, g.completed)
+	}
+}
+
+// TestRecycleRevokesGrants: a recycle hands the partition to its next
+// tenant, so nothing of the last tenancy may survive it — no memory
+// grant stays active, and the primary loses its window into a shared
+// frame (a lent frame otherwise comes back mapped in the recycled VM's
+// rewound or rebuilt table while the primary still holds it).
+func TestRecycleRevokesGrants(t *testing.T) {
+	for _, kind := range []ShareKind{MemShare, MemLend} {
+		for _, warm := range []bool{true, false} {
+			h, vm, _ := buildRecycleSystem(t)
+			if err := h.RestartVM(vm.ID()); err != nil {
+				t.Fatal(err)
+			}
+			ram, _ := vm.RAM()
+			if _, _, err := h.ShareMemory(kind, vm.ID(), PrimaryID, ram, 2*mem.PageSize, mmu.PermRW); err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			if err := h.StopVM(vm.ID()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.RecycleVM(vm.ID(), warm); err != nil {
+				t.Fatal(err)
+			}
+			if g := h.Grants(vm.ID()); len(g) != 0 {
+				t.Errorf("%v, warm=%v: %d grants outlive the recycle", kind, warm, len(g))
+			}
+			if err := h.VerifyIsolation(); err != nil {
+				t.Errorf("%v, warm=%v: %v", kind, warm, err)
+			}
+		}
 	}
 }

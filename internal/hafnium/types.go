@@ -26,7 +26,8 @@ const (
 // Class is a VM's privilege class.
 type Class int
 
-// VM classes.
+// VM classes, in ascending order of isolation: lifecycle lookups rank
+// classes by this order.
 const (
 	// Primary schedules the node: full hypercall API, receives physical
 	// interrupts, may run other VMs' VCPUs.
@@ -39,6 +40,7 @@ const (
 	Secondary
 )
 
+// String names the class as manifests spell it.
 func (c Class) String() string {
 	switch c {
 	case Primary:
@@ -77,6 +79,7 @@ const (
 // VMAborted is the historical name for VMCrashed.
 const VMAborted = VMCrashed
 
+// String names the lifecycle state in lower case, for errors and reports.
 func (s VMState) String() string {
 	switch s {
 	case VMConfigured:
@@ -110,6 +113,7 @@ const (
 	RestartAlways
 )
 
+// String names the policy as the manifest's restart_policy spells it.
 func (p RestartPolicy) String() string {
 	if p == RestartAlways {
 		return "restart"
@@ -128,6 +132,7 @@ const (
 	VCPUBlocked // waiting for an interrupt
 )
 
+// String names the VCPU state in lower case, for errors and reports.
 func (s VCPUState) String() string {
 	switch s {
 	case VCPUStopped:
@@ -153,6 +158,7 @@ const (
 	ExitAborted                       // stage-2 abort or guest panic
 )
 
+// String names the exit reason in lower case, for traces and reports.
 func (r ExitReason) String() string {
 	switch r {
 	case ExitInterrupted:
@@ -182,6 +188,7 @@ const (
 	RouteSelective
 )
 
+// String names the routing policy as the manifest spells it.
 func (r IRQRouting) String() string {
 	if r == RouteSelective {
 		return "selective"
@@ -201,6 +208,7 @@ const (
 	TLBFlushAll
 )
 
+// String names the TLB policy as the manifest spells it.
 func (p TLBPolicy) String() string {
 	if p == TLBFlushAll {
 		return "flush-all"

@@ -331,9 +331,7 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 
 	// The migration: job VM, node 0 -> node 1, kicked off at 20 ms (well
 	// after boot and the first election settle).
-	mig, err := mc.Migrate("job", 0, 1, machine.MigrationConfig{
-		StartAt: sim.Time(0).Add(sim.FromMicros(20_000)),
-	})
+	mig, err := mc.Migrate("job", 0, 1, sim.Time(0).Add(sim.FromMicros(20_000)))
 	if err != nil {
 		return err
 	}

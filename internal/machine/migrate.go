@@ -25,7 +25,7 @@ import (
 //
 // Driver state (in-flight rounds, retry counters) lives outside the
 // per-node engines, so Cluster.Snapshot does not capture a migration in
-// progress: fork timelines before Migrate's StartAt or after the
+// progress: fork timelines before Migrate's start time or after the
 // migration resolves.
 
 // MigrationStamp is an endpoint-issued checkpoint of guest progress: CPU
@@ -67,49 +67,25 @@ type MigrationEndpoint interface {
 	DirtyPages(vm string, since MigrationStamp) (pages uint64, now MigrationStamp)
 }
 
-// MigrationConfig tunes one transfer. Zero values select defaults.
-type MigrationConfig struct {
-	// StartAt schedules the transfer kickoff on the source engine (a time
-	// in the past starts immediately).
-	StartAt sim.Time
-	// ChunkBytes sizes each RAM chunk message (default 256 KiB).
-	ChunkBytes int
-	// MaxPrecopyRounds bounds dirty-page rounds after the full round 0
-	// (default 3); then stop-and-copy regardless of dirty count.
-	MaxPrecopyRounds int
-	// StopCopyPages triggers stop-and-copy early once a round's dirty
-	// estimate falls to this many pages (default 64).
-	StopCopyPages uint64
-	// PollInterval paces the quiesce poll after PauseVM (default 5 µs).
-	PollInterval sim.Duration
-	// AckTimeout arms the commit-acknowledgement timer (default 2 ms);
-	// it doubles per retry.
-	AckTimeout sim.Duration
-	// MaxRetries bounds commit retransmissions (default 20); exhaustion
-	// leaves the migration Unresolved with the source still paused.
-	MaxRetries int
-}
-
-func (cfg *MigrationConfig) fill() {
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 256 << 10
-	}
-	if cfg.MaxPrecopyRounds <= 0 {
-		cfg.MaxPrecopyRounds = 3
-	}
-	if cfg.StopCopyPages == 0 {
-		cfg.StopCopyPages = 64
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = sim.FromMicros(5)
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = sim.FromMicros(2000)
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 20
-	}
-}
+// The transfer's protocol constants.
+const (
+	// migChunkBytes sizes each RAM chunk message.
+	migChunkBytes = 256 << 10
+	// migMaxPrecopyRounds bounds dirty-page rounds after the full round
+	// 0; then stop-and-copy regardless of dirty count.
+	migMaxPrecopyRounds = 3
+	// migStopCopyPages triggers stop-and-copy early once a round's dirty
+	// estimate falls to this many pages.
+	migStopCopyPages = 64
+	// migPollInterval paces the quiesce poll after PauseVM.
+	migPollInterval = 5 * sim.Microsecond
+	// migAckTimeout arms the commit-acknowledgement timer; it doubles
+	// per retry.
+	migAckTimeout = 2 * sim.Millisecond
+	// migMaxRetries bounds commit retransmissions; exhaustion leaves the
+	// migration Unresolved with the source still paused.
+	migMaxRetries = 20
+)
 
 // MigrationOutcome is a transfer's terminal (or pending) disposition.
 type MigrationOutcome int
@@ -129,6 +105,7 @@ const (
 	MigrationUnresolved
 )
 
+// String names the outcome in lower case, for reports and artifacts.
 func (o MigrationOutcome) String() string {
 	switch o {
 	case MigrationPending:
@@ -200,8 +177,7 @@ type Migration struct {
 	VM       string
 	From, To net.NodeID
 
-	c   *Cluster
-	cfg MigrationConfig
+	c *Cluster
 
 	outcome    MigrationOutcome
 	err        error
@@ -303,9 +279,10 @@ func (c *Cluster) EnableMigration(eps []MigrationEndpoint) error {
 
 // Migrate schedules a live migration of VM vm from node `from` to the
 // standby slot of the same name on node `to`. The transfer starts at
-// cfg.StartAt on the source engine and resolves asynchronously; inspect
-// the returned Migration after the cluster run.
-func (c *Cluster) Migrate(vm string, from, to net.NodeID, cfg MigrationConfig) (*Migration, error) {
+// startAt on the source engine (a time in the past starts immediately)
+// and resolves asynchronously; inspect the returned Migration after the
+// cluster run.
+func (c *Cluster) Migrate(vm string, from, to net.NodeID, startAt sim.Time) (*Migration, error) {
 	if c.migPorts == nil {
 		return nil, fmt.Errorf("machine: call EnableMigration before Migrate")
 	}
@@ -315,13 +292,12 @@ func (c *Cluster) Migrate(vm string, from, to net.NodeID, cfg MigrationConfig) (
 	if from == to {
 		return nil, fmt.Errorf("machine: migration from node %d to itself", from)
 	}
-	cfg.fill()
 	c.migSeq++
-	m := &Migration{ID: c.migSeq, VM: vm, From: from, To: to, c: c, cfg: cfg}
+	m := &Migration{ID: c.migSeq, VM: vm, From: from, To: to, c: c}
 	c.migs = append(c.migs, m)
 	c.migByID[m.ID] = m
 	eng := c.Nodes[from].Engine
-	at := cfg.StartAt
+	at := startAt
 	if at < eng.Now() {
 		at = eng.Now()
 	}
@@ -345,7 +321,7 @@ func (m *Migration) fail(err error) {
 	m.err = err
 }
 
-// start runs on the source engine at StartAt: stamp the VM, announce the
+// start runs on the source engine at the start time: stamp the VM, announce the
 // transfer, ship all of RAM as round 0 and pace the next round off the
 // link cursor.
 func (m *Migration) start() {
@@ -362,12 +338,12 @@ func (m *Migration) start() {
 	m.scheduleRoundEnd(1)
 }
 
-// sendRound ships pages as ChunkBytes-sized messages and records the
+// sendRound ships pages as migChunkBytes-sized messages and records the
 // round. The guest keeps running (and dirtying) while the link drains.
 func (m *Migration) sendRound(round int, pages uint64) {
 	var sent uint64
 	for remaining := pages * mem.PageSize; remaining > 0; {
-		n := uint64(m.cfg.ChunkBytes)
+		n := uint64(migChunkBytes)
 		if n > remaining {
 			n = remaining
 		}
@@ -398,7 +374,7 @@ func (m *Migration) roundEnd(round int) {
 	}
 	dirty, stamp := m.ep().DirtyPages(m.VM, m.stamp)
 	m.stamp = stamp
-	if dirty <= m.cfg.StopCopyPages || round > m.cfg.MaxPrecopyRounds {
+	if dirty <= migStopCopyPages || round > migMaxPrecopyRounds {
 		m.pendingDirty = dirty
 		m.stopAndCopy()
 		return
@@ -424,7 +400,7 @@ func (m *Migration) pollQuiesce() {
 		return
 	}
 	if !m.ep().VMQuiesced(m.VM) {
-		m.eng().AfterNamed(m.cfg.PollInterval, "mig.quiesce", m.pollQuiesce)
+		m.eng().AfterNamed(migPollInterval, "mig.quiesce", m.pollQuiesce)
 		return
 	}
 	m.finalCopy()
@@ -453,7 +429,7 @@ func (m *Migration) sendCommit() {
 	m.totalBytes += migHeaderBytes
 	m.ackSeq++
 	seq := m.ackSeq
-	d := m.cfg.AckTimeout
+	d := migAckTimeout
 	for i := 0; i < m.retries && i < 10; i++ {
 		d *= 2
 	}
@@ -464,7 +440,7 @@ func (m *Migration) ackTimeout(seq int) {
 	if m.outcome != MigrationPending || seq != m.ackSeq {
 		return
 	}
-	if m.retries >= m.cfg.MaxRetries {
+	if m.retries >= migMaxRetries {
 		m.outcome = MigrationUnresolved
 		m.err = fmt.Errorf("machine: migration %d: no commit ack from node %d after %d retries; source stays paused",
 			m.ID, m.To, m.retries)
